@@ -105,19 +105,25 @@ func packChainDataset(t *testing.T, files, size int, compressed bool) (*storage.
 	return mem, ix, names, contents
 }
 
-// runChainCell streams the packed dataset through the full prefetch
-// pipeline over the given wrapper chain with coalescing budget k (0 =
-// per-sample), asserting every delivered payload is bit-identical to the
-// packed ground truth, nothing leaks from the pool, and — when coalescing
-// is on — the batched counters actually moved (the chain did not silently
-// fall back sample-by-sample).
-func runChainCell(t *testing.T, wrap chainWrap, compressed bool, k int) {
-	t.Helper()
-	env := conc.NewReal()
-	mem, ix, names, contents := packChainDataset(t, 16, 4<<10, compressed)
+// chain is a serving chain composed over a shard store.
+type chain struct {
+	rr      storage.RangeReader
+	cache   *sharedcache.Cache // nil unless wrapped
+	tier    *tiering.Backend   // nil unless wrapped
+	closers []func()
+}
 
+func (c chain) close() {
+	for _, f := range c.closers {
+		f()
+	}
+}
+
+// composeChain nests the wrappers wrap selects over mem in canonical order.
+func composeChain(t *testing.T, env conc.Env, mem *storage.MemBackend, wrap chainWrap) chain {
+	t.Helper()
 	var b storage.Backend = mem
-	closers := []func(){}
+	var ch chain
 	if wrap.recorder {
 		b = trace.NewRecorder(env, b)
 	}
@@ -127,7 +133,8 @@ func runChainCell(t *testing.T, wrap chainWrap, compressed bool, k int) {
 			t.Fatal(err)
 		}
 		b = sc
-		closers = append(closers, sc.Close)
+		ch.cache = sc
+		ch.closers = append(ch.closers, sc.Close)
 	}
 	if wrap.tiering {
 		tb, err := tiering.NewBackend(env, tiering.Config{FastCapacity: 64 << 20, PromoteAfter: 1}, b, nil)
@@ -135,7 +142,8 @@ func runChainCell(t *testing.T, wrap chainWrap, compressed bool, k int) {
 			t.Fatal(err)
 		}
 		b = tb
-		closers = append(closers, tb.Close)
+		ch.tier = tb
+		ch.closers = append(ch.closers, tb.Close)
 	}
 	if wrap.resilient {
 		cfg := storage.DefaultResilienceConfig()
@@ -150,7 +158,22 @@ func runChainCell(t *testing.T, wrap chainWrap, compressed bool, k int) {
 	if !ok {
 		t.Fatalf("%s: chain lost the RangeReader surface (%T)", wrap, b)
 	}
-	backend := recordio.NewIndexedBackend(ix, rr)
+	ch.rr = rr
+	return ch
+}
+
+// runChainCell streams the packed dataset through the full prefetch
+// pipeline over the given wrapper chain with coalescing budget k (0 =
+// per-sample), asserting every delivered payload is bit-identical to the
+// packed ground truth, nothing leaks from the pool, and — when coalescing
+// is on — the batched counters actually moved (the chain did not silently
+// fall back sample-by-sample).
+func runChainCell(t *testing.T, wrap chainWrap, compressed bool, k int) {
+	t.Helper()
+	env := conc.NewReal()
+	mem, ix, names, contents := packChainDataset(t, 16, 4<<10, compressed)
+	ch := composeChain(t, env, mem, wrap)
+	backend := recordio.NewIndexedBackend(ix, ch.rr)
 	pool := mempool.New(mempool.Config{Debug: true})
 	backend.SetBufferPool(pool)
 
@@ -187,9 +210,7 @@ func runChainCell(t *testing.T, wrap chainWrap, compressed bool, k int) {
 	}
 	batched, fallbacks := pf.BatchedSamples(), pf.BatchFallbacks()
 	stage.Close()
-	for _, c := range closers {
-		c()
-	}
+	ch.close()
 	if k > 1 && batched == 0 && fallbacks == 0 {
 		t.Fatalf("%s k=%d: coalescer never engaged (0 batched samples, 0 fallbacks)", wrap, k)
 	}

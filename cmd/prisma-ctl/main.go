@@ -94,6 +94,10 @@ func main() {
 				s.PoolGets, s.PoolHitRate*100, s.PoolOutstanding,
 				s.PoolFreeBuffers, float64(s.PoolFreeBytes)/(1<<20))
 		}
+		if s.LeasedReads+s.InlineReads > 0 {
+			fmt.Printf("socket payloads:  %d leased, %d inline (%d over the lease bound), %d leases out, %d bad release ids\n",
+				s.LeasedReads, s.InlineReads, s.LeaseBoundFallbacks, s.LeasesOutstanding, s.LeaseRejectedReleases)
+		}
 		if s.TierEnabled {
 			fmt.Printf("fast tier:        %d hits / %d slow reads, %d residents (%.1f/%.1f MiB)\n",
 				s.TierFastHits, s.TierSlowReads, s.TierResidents,

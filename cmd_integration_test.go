@@ -5,13 +5,20 @@ package prisma_test
 // and tunes it over the same socket.
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	prisma "github.com/dsrhaslab/prisma-go"
 )
 
 // buildCommands compiles the three binaries once into a temp dir.
@@ -25,6 +32,40 @@ func buildCommands(t *testing.T) string {
 		}
 	}
 	return bin
+}
+
+// startServerBinary runs prisma-server with args on a fresh socket, waits
+// for the socket to appear, and stops the server when the test ends.
+func startServerBinary(t *testing.T, bin string, args ...string) string {
+	t.Helper()
+	sock := filepath.Join(t.TempDir(), "it.sock")
+	server := exec.Command(filepath.Join(bin, "prisma-server"), append([]string{"-socket", sock}, args...)...)
+	serverOut := &strings.Builder{}
+	server.Stdout, server.Stderr = serverOut, serverOut
+	if err := server.Start(); err != nil {
+		t.Fatalf("server start: %v", err)
+	}
+	t.Cleanup(func() {
+		_ = server.Process.Signal(syscall.SIGTERM)
+		done := make(chan struct{})
+		go func() { _ = server.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			_ = server.Process.Kill()
+			<-done
+		}
+	})
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, err := os.Stat(sock); err == nil {
+			return sock
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("socket never appeared; server output:\n%s", serverOut.String())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 }
 
 func TestBinariesEndToEnd(t *testing.T) {
@@ -45,37 +86,7 @@ func TestBinariesEndToEnd(t *testing.T) {
 	}
 
 	// 2. Start the server.
-	sock := filepath.Join(t.TempDir(), "it.sock")
-	server := exec.Command(filepath.Join(bin, "prisma-server"),
-		"-dir", dataDir, "-socket", sock, "-interval", "50ms")
-	serverOut := &strings.Builder{}
-	server.Stdout, server.Stderr = serverOut, serverOut
-	if err := server.Start(); err != nil {
-		t.Fatalf("server start: %v", err)
-	}
-	defer func() {
-		_ = server.Process.Signal(syscall.SIGTERM)
-		done := make(chan struct{})
-		go func() { _ = server.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			_ = server.Process.Kill()
-			<-done
-		}
-	}()
-
-	// Wait for the socket to appear.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, err := os.Stat(sock); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("socket never appeared; server output:\n%s", serverOut.String())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	sock := startServerBinary(t, bin, "-dir", dataDir, "-interval", "50ms")
 
 	ctl := func(args ...string) string {
 		t.Helper()
@@ -126,7 +137,7 @@ func TestBinariesEndToEnd(t *testing.T) {
 
 	// 5. The plan must reach the data plane: queue length + prefetched
 	//    counts become visible in stats once producers drain the queue.
-	deadline = time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for {
 		stats = ctl("stats")
 		if strings.Contains(stats, "prefetched files: ") && !strings.Contains(stats, "prefetched files: 0") {
@@ -213,5 +224,102 @@ func TestDatagenRejectsMissingDir(t *testing.T) {
 	bin := buildCommands(t)
 	if out, err := exec.Command(filepath.Join(bin, "prisma-datagen")).CombinedOutput(); err == nil {
 		t.Fatalf("datagen without -dir succeeded: %s", out)
+	}
+}
+
+// TestServerLeasesAcrossProcesses reads through a real prisma-server
+// process by shared-memory lease: payloads must be byte-identical to the
+// files, the arena descriptor the server sends must refuse a writable
+// mapping, and closing the client without releasing its samples must
+// return every leased buffer to the server's pool.
+func TestServerLeasesAcrossProcesses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	if runtime.GOOS != "linux" {
+		t.Skip("shared-memory leases need Linux")
+	}
+	bin := buildCommands(t)
+	dataDir := t.TempDir()
+	rng := rand.New(rand.NewSource(7))
+	files := map[string][]byte{}
+	for i := 0; i < 12; i++ {
+		b := make([]byte, 20<<10+rng.Intn(90<<10))
+		rng.Read(b)
+		name := fmt.Sprintf("s%02d.bin", i)
+		if err := os.WriteFile(filepath.Join(dataDir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		files[name] = b
+	}
+	sock := startServerBinary(t, bin, "-dir", dataDir)
+
+	c, err := prisma.Dial(sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.EnablePooledReads(prisma.BufferPoolOptions{})
+	var held []*prisma.Sample
+	for name, want := range files {
+		smp, err := c.ReadSample(name)
+		if err != nil {
+			t.Fatalf("ReadSample(%s): %v", name, err)
+		}
+		if !bytes.Equal(smp.Bytes(), want) {
+			t.Fatalf("ReadSample(%s): bytes differ from the file", name)
+		}
+		held = append(held, smp)
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LeasedReads != int64(len(files)) || st.InlineReads != 0 || st.LeasesOutstanding != int64(len(files)) {
+		t.Fatalf("server lease stats: %d leased, %d inline, %d outstanding; want all %d leased and held",
+			st.LeasedReads, st.InlineReads, st.LeasesOutstanding, len(files))
+	}
+
+	out, err := exec.Command(filepath.Join(bin, "prisma-ctl"), "-socket", sock, "stats").CombinedOutput()
+	if err != nil {
+		t.Fatalf("ctl stats: %v\n%s", err, out)
+	}
+	if want := fmt.Sprintf("socket payloads:  %d leased, 0 inline", len(files)); !strings.Contains(string(out), want) {
+		t.Fatalf("ctl stats lacks %q:\n%s", want, out)
+	}
+
+	// The descriptor the client received is a read-only reopen of the
+	// server's memfd: a writable shared mapping must be refused.
+	if err := mapArenaWritable(t); !errors.Is(err, syscall.EACCES) {
+		t.Fatalf("writable mapping of the arena descriptor: %v, want EACCES", err)
+	}
+
+	// Closing without releasing ends every lease on the server.
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	probe, err := prisma.Dial(sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer probe.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st, err = probe.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.PoolOutstanding == 0 && st.LeasesOutstanding == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after close: server pool %d outstanding, %d leases", st.PoolOutstanding, st.LeasesOutstanding)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for _, smp := range held {
+		smp.Release()
+	}
+	if ps := c.PoolStats(); ps.Outstanding != 0 || ps.Gets != int64(len(files)) {
+		t.Fatalf("client pool: %d outstanding of %d gets, want 0 of %d", ps.Outstanding, ps.Gets, len(files))
 	}
 }

@@ -41,6 +41,9 @@ type Env interface {
 	Now() time.Duration
 	// Sleep suspends the calling thread of execution for d.
 	Sleep(d time.Duration)
+	// Yield lets other runnable threads of execution run before the
+	// caller continues.
+	Yield()
 	// Go starts fn as a new thread of execution. name is used for
 	// diagnostics only.
 	Go(name string, fn func())

@@ -1,6 +1,7 @@
 package conc
 
 import (
+	"runtime"
 	"sync"
 	"time"
 )
@@ -40,6 +41,9 @@ func (r *Real) Now() time.Duration {
 }
 
 // Sleep pauses the calling goroutine for d (divided by TimeScale, if set).
+// Yield gives up the processor to other runnable goroutines.
+func (r *Real) Yield() { runtime.Gosched() }
+
 func (r *Real) Sleep(d time.Duration) {
 	if d <= 0 {
 		return

@@ -21,6 +21,10 @@ func (e *SimEnv) Now() time.Duration { return e.S.Now() }
 
 // Sleep suspends the calling simulated process for virtual duration d. It
 // must be called from a process started via Go (or sim.Spawn).
+// Yield is a no-op: the simulation already runs one process at a time
+// and schedules them deterministically.
+func (e *SimEnv) Yield() {}
+
 func (e *SimEnv) Sleep(d time.Duration) {
 	p := e.S.Current()
 	if p == nil {

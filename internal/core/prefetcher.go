@@ -500,6 +500,11 @@ func (pf *Prefetcher) producerLoop() {
 			pf.prefetched.Inc()
 		}
 		parked, perr := pf.buffer.PutTimed(it)
+		// A producer that keeps finding buffer space would otherwise run
+		// back to back — its short file reads never hand its processor
+		// off — while the goroutines delivering samples to consumers wait
+		// behind it. Yielding after each hand-off bounds that wait.
+		pf.env.Yield()
 		switch {
 		case perr == nil:
 			prevPark = parked

@@ -186,6 +186,21 @@ type StageStats struct {
 	// Tiering, riding StageStats carries it across the IPC Stats call.
 	Cache        CacheStats
 	CacheEnabled bool
+
+	// Leases reflects how the IPC server delivered read payloads. The
+	// server fills it in when it answers a Stats request; the stage itself
+	// leaves it zero.
+	Leases LeaseStats
+}
+
+// LeaseStats counts the IPC server's two ways of delivering a payload: by
+// shared-memory lease or inline through the socket (DESIGN.md §11).
+type LeaseStats struct {
+	Leased           int64 // reads answered with a lease on an arena slot
+	Inline           int64 // reads whose payload crossed the socket
+	BoundFallbacks   int64 // leasable reads served inline because the connection held its lease bound
+	RejectedReleases int64 // released lease ids that were unknown, stale or duplicate
+	Outstanding      int64 // leases clients hold now
 }
 
 // TieringStats is the fast-tier snapshot carried by StageStats (the

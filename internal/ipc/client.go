@@ -66,6 +66,7 @@ type Client struct {
 
 	mu         sync.Mutex
 	conn       net.Conn
+	lc         *leaseConn // lease state of conn
 	broken     bool
 	closed     bool
 	reconnects int64
@@ -73,8 +74,17 @@ type Client struct {
 	pool       *mempool.Pool // non-nil: Read returns pooled Data (caller releases)
 	req        []byte        // request-payload scratch for the pooled read path
 	wire       []byte        // outgoing-frame scratch (header + payload, one Write)
-	hdr        []byte        // response frame-header scratch (13 bytes)
-	pre        []byte        // response head scratch (status + two uvarints)
+	resp       []byte        // response scratch: frame header and head in one read
+
+	// Lease ids the caller released, returned with the next pooled read
+	// or, once the client has gone idle, by an OpRelease. relMu nests
+	// inside mu; Release takes only relMu.
+	relMu      sync.Mutex
+	pending    []uint64
+	drains     uint64      // times a request carried pending away
+	flushArmed bool        // flushTimer is set
+	armedAt    uint64      // drains when flushTimer was set
+	flushTimer *time.Timer // runs flushReleases
 
 	// Hello credentials, replayed after every redial so the connection's
 	// tenant identity (and cluster role) survives reconnects.
@@ -95,7 +105,16 @@ func DialWithConfig(socketPath string, cfg DialConfig) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ipc: dial %s: %w", socketPath, err)
 	}
-	return &Client{path: socketPath, cfg: cfg, conn: conn}, nil
+	c := &Client{path: socketPath, cfg: cfg}
+	c.setConnLocked(conn)
+	return c, nil
+}
+
+// setConnLocked makes conn the live connection. Caller holds c.mu (or owns
+// c exclusively).
+func (c *Client) setConnLocked(conn net.Conn) {
+	c.conn = conn
+	c.lc = &leaseConn{c: c, conn: conn}
 }
 
 func dialConn(path string, timeout time.Duration) (net.Conn, error) {
@@ -114,10 +133,14 @@ func (c *Client) SetTracer(t *obs.Tracer) {
 	c.mu.Unlock()
 }
 
-// SetBufferPool switches Read to pooled responses: the payload is read off
-// the socket directly into a pool buffer and returned with Data.Ref set —
-// the caller owns that reference and must Release it when done with the
-// bytes. Pass nil to revert to plain allocated responses.
+// SetBufferPool switches Read to pooled responses, returned with Data.Ref
+// set — the caller owns that reference and must Release it when done with
+// the bytes. On Linux a pooled client takes samples by lease: its first
+// read on a connection asks for the server pool's arena, which it maps
+// read-only, and a leased sample's bytes are the server's own buffer, held
+// for the client until the Ref is released. Other payloads are read off
+// the socket straight into a buffer of p. Pass nil to revert to plain
+// allocated responses.
 func (c *Client) SetBufferPool(p *mempool.Pool) {
 	c.mu.Lock()
 	c.pool = p
@@ -227,12 +250,12 @@ func (c *Client) exchangeLocked(opcode byte, trace uint64, payload []byte) ([]by
 	return parseResponse(resp)
 }
 
-// poisonLocked marks the connection unusable and severs it. Caller holds
-// c.mu.
+// poisonLocked marks the connection unusable and retires it: it is severed
+// at once unless the caller still holds leases on it. Caller holds c.mu.
 func (c *Client) poisonLocked() {
 	c.broken = true
-	if c.conn != nil {
-		c.conn.Close()
+	if c.lc != nil {
+		c.lc.retire(false)
 	}
 }
 
@@ -250,7 +273,7 @@ func (c *Client) redialLocked(attempt int) error {
 	if err != nil {
 		return fmt.Errorf("ipc: reconnect %s: %w", c.path, err)
 	}
-	c.conn = conn
+	c.setConnLocked(conn)
 	c.broken = false
 	c.reconnects++
 	// A fresh connection is anonymous: replay the hello so the tenant
@@ -444,16 +467,33 @@ func clampRetryAfter(d time.Duration) time.Duration {
 	return d
 }
 
-// exchangePooledLocked is the pooled wire exchange. Caller holds c.mu.
+// respScratch holds a response's frame header and head: a lease response
+// whole, or an inline response's head and its first payload bytes.
+const respScratch = 64
+
+// exchangePooledLocked is the pooled wire exchange: one frame out, and
+// usually one read for the response's header and head. A lease response
+// ends there; an inline payload is then received straight into a pool
+// buffer. Caller holds c.mu.
 func (c *Client) exchangePooledLocked(name string, trace uint64) (storage.Data, error) {
+	lc := c.lc
+	var flags uint64
+	if arenaSupported {
+		flags = trailerAccept
+		if !lc.offered {
+			flags |= trailerOffer
+		}
+	}
 	c.req = appendString(c.req[:0], name)
+	c.req = c.appendPending(c.req, flags)
 	if c.cfg.WriteTimeout > 0 {
 		_ = c.conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
 		defer c.conn.SetWriteDeadline(time.Time{})
 	}
-	// The request is tiny (one name), so header + payload are assembled in
-	// one reused scratch and sent with a single Write — no per-call frame
-	// buffer (writeFrame's stack header escapes through conn.Write).
+	// The request is tiny (one name and a few lease ids), so header and
+	// payload are assembled in one reused scratch and sent with a single
+	// Write — no per-call frame buffer (writeFrame's stack header escapes
+	// through conn.Write).
 	if len(c.req)+9 > MaxFrame {
 		return storage.Data{}, ErrFrameTooLarge
 	}
@@ -466,57 +506,87 @@ func (c *Client) exchangePooledLocked(name string, trace uint64) (storage.Data, 
 		_ = c.conn.SetReadDeadline(time.Now().Add(c.cfg.ReadTimeout))
 		defer c.conn.SetReadDeadline(time.Time{})
 	}
-	// Reused header/head scratch: a stack array would escape to the heap
+	// Reused response scratch: a stack array would escape to the heap
 	// through the conn.Read interface call, costing an allocation per read.
-	if cap(c.hdr) < 13 {
-		c.hdr = make([]byte, 13)
+	if cap(c.resp) < respScratch {
+		c.resp = make([]byte, respScratch)
 	}
-	hdr := c.hdr[:13]
-	if _, err := io.ReadFull(c.conn, hdr); err != nil {
+	buf := c.resp[:respScratch]
+	var (
+		have int
+		err  error
+	)
+	if flags&trailerOffer != 0 {
+		// The arena descriptor, if the server has one, rides this response.
+		var fd int
+		lc.offered = true
+		have, fd, err = readWithFD(c.conn, buf)
+		if fd >= 0 {
+			if m, merr := mempool.MapArena(fd); merr == nil {
+				lc.arena = m
+			}
+		}
+	} else {
+		have, err = c.conn.Read(buf)
+	}
+	if have < 13 {
+		if err == nil {
+			var k int
+			k, err = io.ReadAtLeast(c.conn, buf[have:], 13-have)
+			have += k
+		}
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return storage.Data{}, err
+		}
+	}
+	n, err := frameLen(buf[:4])
+	if err != nil {
 		return storage.Data{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n < 9 {
-		return storage.Data{}, fmt.Errorf("ipc: short frame (%d bytes)", n)
-	}
-	if n > MaxFrame {
-		return storage.Data{}, ErrFrameTooLarge
-	}
-	if op := hdr[4]; op != OpRead {
+	if op := buf[4]; op != OpRead {
 		return storage.Data{}, fmt.Errorf("ipc: response opcode %d for request %d", op, OpRead)
 	}
-	if got := binary.BigEndian.Uint64(hdr[5:13]); got != trace {
+	if got := binary.BigEndian.Uint64(buf[5:13]); got != trace {
 		return storage.Data{}, fmt.Errorf("ipc: response trace %#x for request %#x", got, trace)
 	}
-	// The response head (status + size + payload length) is at most
-	// 1 + 2*MaxVarintLen64 bytes; read just enough to parse it, then land
-	// the payload straight in the pool buffer.
-	payloadLen := int(n) - 9
-	const preMax = 1 + 2*binary.MaxVarintLen64
-	if cap(c.pre) < preMax {
-		c.pre = make([]byte, preMax)
+	// The part of this frame that fits the scratch: the whole of a lease
+	// or error response, the head and first payload bytes of an inline one.
+	payloadLen := n - 9
+	end := 13 + payloadLen
+	if end > len(buf) {
+		end = len(buf)
 	}
-	pre := c.pre[:preMax]
-	pn := payloadLen
-	if pn > len(pre) {
-		pn = len(pre)
+	if have > end {
+		return storage.Data{}, fmt.Errorf("ipc: %d bytes received past a %d-byte response", have-end, 4+n)
 	}
-	if _, err := io.ReadFull(c.conn, pre[:pn]); err != nil {
-		return storage.Data{}, err
+	if have < end {
+		if _, err := io.ReadFull(c.conn, buf[have:end]); err != nil {
+			return storage.Data{}, err
+		}
 	}
-	if pn < 1 {
+	pre := buf[13:end]
+	if len(pre) < 1 {
 		return storage.Data{}, fmt.Errorf("ipc: empty response")
 	}
 	switch pre[0] {
 	case statusOK:
+	case statusLease:
+		l, err := parseLease(pre[1:])
+		if err != nil {
+			return storage.Data{}, err
+		}
+		return c.leasedLocked(lc, name, l)
 	case statusErr, statusOverloaded:
 		// Error paths (cold): drain the rest of the frame and decode;
 		// the stream stays synchronized either way.
-		rest := make([]byte, payloadLen-pn)
+		rest := make([]byte, payloadLen-len(pre))
 		if _, err := io.ReadFull(c.conn, rest); err != nil {
 			return storage.Data{}, err
 		}
-		full := append(append([]byte(nil), pre[1:pn]...), rest...)
+		full := append(append([]byte(nil), pre[1:]...), rest...)
 		if pre[0] == statusOverloaded {
 			oe, err := parseOverload(full)
 			if err != nil {
@@ -532,29 +602,174 @@ func (c *Client) exchangePooledLocked(name string, trace uint64) (storage.Data, 
 	default:
 		return storage.Data{}, fmt.Errorf("ipc: unknown response status %d", pre[0])
 	}
-	size, k1 := binary.Uvarint(pre[1:pn])
+	size, k1 := binary.Uvarint(pre[1:])
 	if k1 <= 0 {
 		return storage.Data{}, fmt.Errorf("ipc: malformed read response")
 	}
-	blen, k2 := binary.Uvarint(pre[1+k1 : pn])
+	blen, k2 := binary.Uvarint(pre[1+k1:])
 	if k2 <= 0 {
 		return storage.Data{}, fmt.Errorf("ipc: malformed bytes length")
 	}
 	consumed := 1 + k1 + k2
-	if consumed+int(blen) != payloadLen {
+	if blen > uint64(payloadLen) || consumed+int(blen) != payloadLen {
 		return storage.Data{}, fmt.Errorf("ipc: read response length mismatch (head %d + payload %d != frame %d)", consumed, blen, payloadLen)
 	}
 	if blen == 0 {
 		return storage.Data{Name: name, Size: int64(size)}, nil
 	}
 	ref := c.pool.Get(int(blen))
-	buf := ref.Bytes()
-	copied := copy(buf, pre[consumed:pn])
-	if _, err := io.ReadFull(c.conn, buf[copied:]); err != nil {
+	dst := ref.Bytes()
+	copied := copy(dst, pre[consumed:])
+	if _, err := io.ReadFull(c.conn, dst[copied:]); err != nil {
 		ref.Release()
 		return storage.Data{}, err
 	}
-	return storage.Data{Name: name, Size: int64(size), Bytes: buf, Ref: ref}, nil
+	return storage.Data{Name: name, Size: int64(size), Bytes: dst, Ref: ref}, nil
+}
+
+// leasedLocked turns a lease response into Data whose bytes are the
+// server's arena slot and whose Ref, borrowed from the client pool, returns
+// the lease id when released. Caller holds c.mu.
+func (c *Client) leasedLocked(lc *leaseConn, name string, l lease) (storage.Data, error) {
+	if lc.arena == nil {
+		return storage.Data{}, errors.New("ipc: lease response on a connection without an arena")
+	}
+	b, err := lc.arena.Slice(int64(l.off), int64(l.n))
+	if err != nil {
+		return storage.Data{}, err
+	}
+	c.relMu.Lock()
+	lc.live++
+	c.relMu.Unlock()
+	return storage.Data{Name: name, Size: int64(l.size), Bytes: b, Ref: c.pool.Borrow(b, lc, l.id)}, nil
+}
+
+// releaseFlushDelay is how long released lease ids may wait for a request
+// to carry them before the client sends them on their own.
+const releaseFlushDelay = 5 * time.Millisecond
+
+// leaseConn is the lease state of one connection: the server's arena as
+// mapped here, and how many of the connection's leases the caller holds.
+// The server recycles every lease of a connection when it closes, so a
+// connection the client stops using stays open until the caller has
+// released its last lease on it.
+type leaseConn struct {
+	c       *Client
+	conn    net.Conn
+	arena   *mempool.Mapping // nil until the server sends its arena
+	offered bool             // the arena was asked for (guarded by c.mu)
+
+	// Guarded by c.relMu.
+	live     int  // leases handed to the caller and not yet released
+	retired  bool // the client no longer uses the connection
+	finished bool // finish has been called
+}
+
+// Return is the mempool.Lender hook: the caller released a leased sample.
+// The id rides the next request, or an idle flush.
+func (lc *leaseConn) Return(id uint64) {
+	c := lc.c
+	c.relMu.Lock()
+	lc.live--
+	if lc.retired {
+		done := lc.doneLocked()
+		c.relMu.Unlock()
+		if done {
+			lc.finish()
+		}
+		return
+	}
+	c.pending = append(c.pending, id)
+	if !c.flushArmed {
+		c.flushArmed, c.armedAt = true, c.drains
+		if c.flushTimer == nil {
+			c.flushTimer = time.AfterFunc(releaseFlushDelay, c.flushReleases)
+		} else {
+			c.flushTimer.Reset(releaseFlushDelay)
+		}
+	}
+	c.relMu.Unlock()
+}
+
+// retire ends the client's use of the connection. It closes when no lease
+// is out, at once with closeNow, and otherwise once the caller releases
+// the last one.
+func (lc *leaseConn) retire(closeNow bool) {
+	c := lc.c
+	c.relMu.Lock()
+	lc.retired = true
+	c.pending = c.pending[:0] // this connection's; its close returns them
+	done := lc.doneLocked()
+	c.relMu.Unlock()
+	if done {
+		lc.finish()
+	} else if closeNow {
+		lc.conn.Close()
+	}
+}
+
+// doneLocked reports, once, that the client is done with the connection
+// and no lease is out: the caller is to finish it. Caller holds c.relMu.
+func (lc *leaseConn) doneLocked() bool {
+	if !lc.retired || lc.live > 0 || lc.finished {
+		return false
+	}
+	lc.finished = true
+	return true
+}
+
+// finish closes the connection and unmaps the arena.
+func (lc *leaseConn) finish() {
+	lc.conn.Close()
+	if lc.arena != nil {
+		lc.arena.Close()
+		lc.arena = nil
+	}
+}
+
+// appendPending appends a read trailer with flags and the released lease
+// ids, which it takes.
+func (c *Client) appendPending(dst []byte, flags uint64) []byte {
+	c.relMu.Lock()
+	dst = appendTrailer(dst, flags, c.pending)
+	if len(c.pending) > 0 {
+		c.pending = c.pending[:0]
+		c.drains++
+	}
+	c.relMu.Unlock()
+	return dst
+}
+
+// flushReleases returns released lease ids no request has carried for a
+// whole releaseFlushDelay, so an idle client does not keep the server
+// pinning buffers it is done with.
+func (c *Client) flushReleases() {
+	c.relMu.Lock()
+	c.flushArmed = false
+	if len(c.pending) == 0 {
+		c.relMu.Unlock()
+		return
+	}
+	if c.drains != c.armedAt {
+		// Requests are flowing; the next one carries the ids.
+		c.flushArmed, c.armedAt = true, c.drains
+		c.flushTimer.Reset(releaseFlushDelay)
+		c.relMu.Unlock()
+		return
+	}
+	c.relMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed || c.broken {
+		return
+	}
+	payload := c.appendPending(nil, 0)
+	if len(payload) == 0 {
+		return
+	}
+	if _, err := c.exchangeLocked(OpRelease, 0, payload); err != nil && !isCleanError(err) {
+		c.poisonLocked()
+	}
 }
 
 // SubmitPlan forwards an epoch's shuffled filename list. A plan mutates
@@ -709,7 +924,10 @@ func (c *Client) Ping() error {
 	return err
 }
 
-// Close severs the connection.
+// Close severs the connection. The server then recycles the buffers of any
+// leased samples the caller has not released, so their bytes are no longer
+// valid: release samples before closing their client. (A connection the
+// client gave up on earlier closes once its last lease is released.)
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -717,8 +935,12 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	if c.conn == nil {
-		return nil
+	c.relMu.Lock()
+	if c.flushTimer != nil {
+		c.flushTimer.Stop()
 	}
-	return c.conn.Close()
+	c.relMu.Unlock()
+	err := c.conn.Close()
+	c.lc.retire(true)
+	return err
 }

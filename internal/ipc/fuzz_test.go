@@ -43,8 +43,18 @@ func FuzzFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		opcode, trace, payload, err := readFrame(bytes.NewReader(data))
+		// The server's buffered decoder, with a buffer small enough that
+		// larger frames take its one-off path, must agree.
+		fr := frameReader{buf: make([]byte, 64)}
+		bop, btrace, bpayload, berr := fr.next(bytes.NewReader(data))
+		if (err == nil) != (berr == nil) {
+			t.Fatalf("readFrame err=%v, frameReader err=%v", err, berr)
+		}
 		if err != nil {
 			return
+		}
+		if bop != opcode || btrace != trace || !bytes.Equal(bpayload, payload) {
+			t.Fatal("frameReader decoded a different frame than readFrame")
 		}
 		if len(payload)+9 > MaxFrame {
 			t.Fatalf("accepted oversized payload %d", len(payload))

@@ -96,8 +96,8 @@ func TestPooledReadRoundTrip(t *testing.T) {
 		t.Fatalf("client pool: %d outstanding leases after release\n%s",
 			got, mempool.FormatLeaks(clientPool.Leaks()))
 	}
-	// The server's leases end when responses hit the socket; poll briefly
-	// because the last write completes asynchronously to the client's read.
+	// The server's references end when the idle client returns its leases
+	// (or, for inline responses, when the write completes): poll briefly.
 	deadline := time.Now().Add(2 * time.Second)
 	for serverPool.Stats().Outstanding != 0 {
 		if time.Now().After(deadline) {

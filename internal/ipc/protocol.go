@@ -14,6 +14,16 @@
 // responses echo the request's trace id, doubling as a desync guard.
 // Strings and counts inside payloads are uvarint-prefixed. Responses carry
 // a status byte (0 = ok, 1 = error-with-message).
+//
+// Pooled clients on Linux receive samples by descriptor (DESIGN.md §11):
+// their first read on a connection asks for the server pool's arena, whose
+// read-only descriptor rides that response as SCM_RIGHTS ancillary data.
+// Reads that accept leases may then be answered with a lease — arena
+// offset, length and lease id — instead of the bytes, and the client
+// returns lease ids on its next request. A read request's optional
+// trailer carries all three:
+//
+//	uvarint(count<<2 | accept<<1 | offer) | count × uvarint lease id
 package ipc
 
 import (
@@ -55,6 +65,11 @@ const (
 	// dispatched through the server's peer router so owner-side accounting
 	// (peer-serve spans, cluster counters) stays separate from local reads.
 	OpPeerRead = 16
+
+	// OpRelease returns lease ids without reading: a client that has gone
+	// idle sends it so the server does not pin the buffers it released.
+	// Its payload is a read request's trailer.
+	OpRelease = 17
 )
 
 // Response status bytes.
@@ -65,7 +80,15 @@ const (
 	// refused at admission (before executing, so resending is safe) and the
 	// payload carries a retry-after hint plus the throttled tenant.
 	statusOverloaded = 2
+	// statusLease answers a read with a lease instead of the payload:
+	// uvarint size, arena offset, length and lease id.
+	statusLease = 3
 )
+
+// maxLeasedBytes bounds the pool memory one connection's outstanding
+// leases may pin (counted by backing buffer). Past it the server answers
+// reads inline until the client returns leases.
+const maxLeasedBytes = 32 << 20
 
 // MaxFrame bounds a frame payload; larger frames indicate a corrupt or
 // hostile peer.
@@ -92,40 +115,166 @@ func writeFrame(w io.Writer, opcode byte, trace uint64, payload []byte) error {
 
 // readFrame receives one frame.
 func readFrame(r io.Reader) (opcode byte, trace uint64, payload []byte, err error) {
-	return readFrameInto(r, nil)
-}
-
-// readFrameInto is readFrame reusing scratch for the frame body when its
-// capacity suffices (the returned payload aliases scratch in that case).
-// The server's per-connection request loop threads its scratch buffer
-// through here so steady-state request decoding allocates nothing.
-func readFrameInto(r io.Reader, scratch []byte) (opcode byte, trace uint64, payload []byte, err error) {
-	// The length prefix lands in scratch too: a stack array here would
-	// escape through the io.Reader interface call and cost one heap
-	// allocation per frame.
-	if cap(scratch) < 4 {
-		scratch = make([]byte, 0, 64)
-	}
-	lenBuf := scratch[:4]
-	if _, err := io.ReadFull(r, lenBuf); err != nil {
+	var lenBuf [4]byte
+	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return 0, 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf)
-	if n < 9 {
-		return 0, 0, nil, fmt.Errorf("ipc: short frame (%d bytes)", n)
+	n, err := frameLen(lenBuf[:])
+	if err != nil {
+		return 0, 0, nil, err
 	}
-	if n > MaxFrame {
-		return 0, 0, nil, ErrFrameTooLarge
-	}
-	body := scratch
-	if cap(body) < int(n) {
-		body = make([]byte, n)
-	}
-	body = body[:n]
+	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return 0, 0, nil, err
 	}
 	return body[0], binary.BigEndian.Uint64(body[1:9]), body[9:], nil
+}
+
+// frameLen validates a frame's length prefix.
+func frameLen(prefix []byte) (int, error) {
+	n := binary.BigEndian.Uint32(prefix)
+	if n < 9 {
+		return 0, fmt.Errorf("ipc: short frame (%d bytes)", n)
+	}
+	if n > MaxFrame {
+		return 0, ErrFrameTooLarge
+	}
+	return int(n), nil
+}
+
+// frameReader is a connection's buffered frame decoder: it reads whatever
+// the socket holds into one reused buffer, so a small request costs one
+// read syscall and no allocation. A returned payload aliases the buffer
+// and is valid until the next call.
+type frameReader struct {
+	buf  []byte
+	r, w int // buffered bytes are buf[r:w]
+}
+
+func (fr *frameReader) next(src io.Reader) (opcode byte, trace uint64, payload []byte, err error) {
+	if err := fr.fill(src, 4); err != nil {
+		return 0, 0, nil, err
+	}
+	n, err := frameLen(fr.buf[fr.r : fr.r+4])
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	var body []byte
+	if 4+n > len(fr.buf) {
+		// Larger than the buffer (a big plan): a one-off body.
+		body = make([]byte, n)
+		k := copy(body, fr.buf[fr.r+4:fr.w])
+		fr.r, fr.w = 0, 0
+		if _, err := io.ReadFull(src, body[k:]); err != nil {
+			return 0, 0, nil, err
+		}
+	} else {
+		if err := fr.fill(src, 4+n); err != nil {
+			return 0, 0, nil, err
+		}
+		body = fr.buf[fr.r+4 : fr.r+4+n]
+		fr.r += 4 + n
+	}
+	return body[0], binary.BigEndian.Uint64(body[1:9]), body[9:], nil
+}
+
+// fill buffers at least need bytes, compacting first when the tail of the
+// buffer is too short.
+func (fr *frameReader) fill(src io.Reader, need int) error {
+	if fr.r == fr.w {
+		fr.r, fr.w = 0, 0
+	}
+	if fr.r+need > len(fr.buf) {
+		fr.w = copy(fr.buf, fr.buf[fr.r:fr.w])
+		fr.r = 0
+	}
+	for fr.w-fr.r < need {
+		k, err := src.Read(fr.buf[fr.w:])
+		fr.w += k
+		if fr.w-fr.r >= need {
+			break
+		}
+		if err != nil {
+			if err == io.EOF && fr.w > fr.r {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// Read trailer flags.
+const (
+	trailerOffer  = 1 << 0 // send the arena descriptor with this response
+	trailerAccept = 1 << 1 // this read may be answered by lease
+	trailerFlags  = 2      // bits below the release count
+)
+
+// appendTrailer encodes a read request's trailer: its flags and the lease
+// ids the client returns. Nothing is appended when there is neither.
+func appendTrailer(dst []byte, flags uint64, ids []uint64) []byte {
+	if flags == 0 && len(ids) == 0 {
+		return dst
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(ids))<<trailerFlags|flags)
+	for _, id := range ids {
+		dst = binary.AppendUvarint(dst, id)
+	}
+	return dst
+}
+
+// parseTrailer decodes a read request's trailer, calling release for each
+// returned lease id, and returns its flags. An empty trailer is a request
+// from a client that takes no part in leasing.
+func parseTrailer(src []byte, release func(id uint64)) (flags uint64, err error) {
+	if len(src) == 0 {
+		return 0, nil
+	}
+	h, k := binary.Uvarint(src)
+	if k <= 0 {
+		return 0, errors.New("ipc: malformed read trailer")
+	}
+	src = src[k:]
+	for n := h >> trailerFlags; n > 0; n-- {
+		id, k := binary.Uvarint(src)
+		if k <= 0 {
+			return 0, errors.New("ipc: malformed lease release list")
+		}
+		src = src[k:]
+		release(id)
+	}
+	return h & (1<<trailerFlags - 1), nil
+}
+
+// lease is a statusLease response's body.
+type lease struct {
+	size, off, n, id uint64
+}
+
+func appendLease(dst []byte, l lease) []byte {
+	dst = append(dst, statusLease)
+	dst = binary.AppendUvarint(dst, l.size)
+	dst = binary.AppendUvarint(dst, l.off)
+	dst = binary.AppendUvarint(dst, l.n)
+	return binary.AppendUvarint(dst, l.id)
+}
+
+// parseLease decodes a statusLease payload (sans status byte), which must
+// be consumed exactly.
+func parseLease(src []byte) (lease, error) {
+	var f [4]uint64
+	for i := range f {
+		v, k := binary.Uvarint(src)
+		if k <= 0 {
+			return lease{}, errors.New("ipc: malformed lease response")
+		}
+		f[i], src = v, src[k:]
+	}
+	if len(src) != 0 {
+		return lease{}, errors.New("ipc: trailing bytes after lease response")
+	}
+	return lease{size: f[0], off: f[1], n: f[2], id: f[3]}, nil
 }
 
 // appendString encodes a uvarint-prefixed string.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,7 +25,8 @@ type ServeConfig struct {
 	// IdleTimeout bounds how long a connection may sit idle between
 	// requests, and how long one request frame and its response may take
 	// to cross the wire (0 = none). An expired connection is dropped; the
-	// client redials.
+	// client redials. A connection holding leases is never idle-dropped:
+	// dropping it would recycle buffers its client may still be reading.
 	IdleTimeout time.Duration
 }
 
@@ -39,6 +41,9 @@ type Server struct {
 	listener net.Listener
 	cfg      ServeConfig
 	panics   atomic.Int64
+
+	// Payload delivery counters (LeaseStats).
+	leased, inline, boundFallbacks, rejectedReleases, leasesOut atomic.Int64
 
 	mu        sync.Mutex
 	conns     map[net.Conn]struct{}
@@ -145,6 +150,18 @@ func (s *Server) tenantManager() *tenancy.Manager {
 // Panics reports how many request handlers panicked and were isolated.
 func (s *Server) Panics() int64 { return s.panics.Load() }
 
+// LeaseStats reports how read payloads were delivered: by lease on the
+// exported pool's arena or inline through the socket.
+func (s *Server) LeaseStats() core.LeaseStats {
+	return core.LeaseStats{
+		Leased:           s.leased.Load(),
+		Inline:           s.inline.Load(),
+		BoundFallbacks:   s.boundFallbacks.Load(),
+		RejectedReleases: s.rejectedReleases.Load(),
+		Outstanding:      s.leasesOut.Load(),
+	}
+}
+
 // Addr reports the socket address.
 func (s *Server) Addr() string { return s.listener.Addr().String() }
 
@@ -168,13 +185,13 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// connState is one connection's reusable scratch: the request-frame body
-// buffer, the response head builder, the vectored-write segment list, and
+// connState is one connection's reusable scratch: the buffered request
+// reader, the response head builder, the vectored-write segment list, and
 // the interning table for repeated file names. A training epoch re-reads
 // the same name set, so after the first epoch the request loop's
 // steady-state allocation count is zero.
 type connState struct {
-	req   []byte      // request frame scratch (oversized requests fall back to alloc)
+	in    frameReader // request frames (oversized requests fall back to alloc)
 	head  []byte      // response head builder (status + fixed fields)
 	wbuf  []byte      // frame header + head, the vectored write's first segment
 	segs  [2][]byte   // backing array for the vectored-write segment list
@@ -189,11 +206,18 @@ type connState struct {
 	// fabric node's forwarding connection, "worker" (or absent, for
 	// pre-cluster clients) an ordinary consumer.
 	role string
+
+	// arena is the pool whose arena the client was sent; from then on its
+	// reads may be answered by lease (nil: always inline). arenaFile is
+	// the read-only arena descriptor the next response carries.
+	arena     *mempool.Pool
+	arenaFile *os.File
+	leases    leaseTable
 }
 
 func newConnState() *connState {
 	return &connState{
-		req:   make([]byte, 0, 4096),
+		in:    frameReader{buf: make([]byte, 4096)},
 		head:  make([]byte, 0, 64),
 		wbuf:  make([]byte, 0, 128),
 		names: make(map[string]string),
@@ -221,6 +245,67 @@ type response struct {
 	ref  *mempool.Ref
 }
 
+// leaseTable is one connection's outstanding leases. A lease id is the
+// slot index with the slot's generation in the high 32 bits, so a stale or
+// duplicate id never matches a slot's current lease.
+type leaseTable struct {
+	slots []leaseSlot
+	free  []uint32 // indices of empty slots
+	live  int
+	bytes int64 // pinned by live leases, counted by backing buffer
+}
+
+type leaseSlot struct {
+	ref *mempool.Ref // nil: empty
+	gen uint32
+}
+
+func (t *leaseTable) add(ref *mempool.Ref) uint64 {
+	var i uint32
+	if n := len(t.free); n > 0 {
+		i = t.free[n-1]
+		t.free = t.free[:n-1]
+	} else {
+		t.slots = append(t.slots, leaseSlot{})
+		i = uint32(len(t.slots) - 1)
+	}
+	t.slots[i].ref = ref
+	t.live++
+	t.bytes += int64(ref.Cap())
+	return uint64(t.slots[i].gen)<<32 | uint64(i)
+}
+
+// take ends lease id and returns its buffer reference for the caller to
+// release, or nil for an id that names no live lease.
+func (t *leaseTable) take(id uint64) *mempool.Ref {
+	i := id & math.MaxUint32
+	if i >= uint64(len(t.slots)) {
+		return nil
+	}
+	sl := &t.slots[i]
+	if sl.ref == nil || sl.gen != uint32(id>>32) {
+		return nil
+	}
+	ref := sl.ref
+	sl.ref = nil
+	sl.gen++
+	t.live--
+	t.bytes -= int64(ref.Cap())
+	t.free = append(t.free, uint32(i))
+	return ref
+}
+
+// releaseAll ends every lease: the connection closed.
+func (t *leaseTable) releaseAll() {
+	for i := range t.slots {
+		if ref := t.slots[i].ref; ref != nil {
+			t.slots[i].ref = nil
+			ref.Release()
+		}
+	}
+	t.live, t.bytes = 0, 0
+}
+
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -230,11 +315,23 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	cs := newConnState()
+	defer func() {
+		// The client's leases end with its connection.
+		s.leasesOut.Add(-int64(cs.leases.live))
+		cs.leases.releaseAll()
+		if cs.arenaFile != nil {
+			cs.arenaFile.Close()
+		}
+	}()
 	for {
 		if s.cfg.IdleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+			deadline := time.Time{}
+			if cs.leases.live == 0 {
+				deadline = time.Now().Add(s.cfg.IdleTimeout)
+			}
+			_ = conn.SetReadDeadline(deadline)
 		}
-		opcode, trace, payload, err := readFrameInto(conn, cs.req[:0])
+		opcode, trace, payload, err := cs.in.next(conn)
 		if err != nil {
 			return // EOF, idle timeout, or broken peer: drop the connection
 		}
@@ -267,6 +364,15 @@ func (s *Server) writeResponse(conn net.Conn, cs *connState, opcode byte, trace 
 	// second segment (writev on UNIX sockets), untouched.
 	cs.wbuf = appendFrameHeader(cs.wbuf[:0], opcode, trace, payloadLen)
 	cs.wbuf = append(cs.wbuf, r.head...)
+	if f := cs.arenaFile; f != nil {
+		cs.arenaFile = nil
+		defer f.Close()
+		if err := writeWithFile(conn, cs.wbuf, f); err != nil || len(r.body) == 0 {
+			return err
+		}
+		_, err := conn.Write(r.body)
+		return err
+	}
 	if len(r.body) == 0 {
 		_, err := conn.Write(cs.wbuf)
 		return err
@@ -297,52 +403,21 @@ func (s *Server) safeHandle(cs *connState, opcode byte, trace uint64, payload []
 func (s *Server) handle(cs *connState, opcode byte, trace uint64, payload []byte) response {
 	switch opcode {
 	case OpRead:
-		nameBytes, _, err := readStringBytes(payload)
+		nameBytes, trailer, err := readStringBytes(payload)
 		if err != nil {
 			return response{head: errResponse(err)}
 		}
-		name := cs.internName(nameBytes)
-		// A non-zero trace continues the client's sampled span; the
-		// server-side handling span shares its id so client and server
-		// views of one read join into a single trace.
-		ctx := obs.Ctx{Trace: trace, Sampled: trace != 0}
-		tracer := s.stage.Tracer()
-		start := tracer.Now()
-		var data storage.Data
-		if rr := s.readRouterFn(); rr != nil {
-			data, err = rr(cs.tenant, name, ctx)
-		} else {
-			data, err = s.stage.ReadTenantCtx(cs.tenant, name, ctx)
-		}
-		if ctx.Sampled {
-			sp := obs.Span{
-				Trace:   ctx.Trace,
-				Stage:   obs.StageIPCServe,
-				Name:    name,
-				At:      start,
-				Latency: tracer.Now() - start,
-				Size:    data.Size,
-			}
-			if err != nil {
-				sp.Error = err.Error()
-			}
-			tracer.Record(sp)
-		}
+		flags, err := s.applyTrailer(cs, trailer)
 		if err != nil {
-			// A load shed is typed end to end: the client's backoff reads
-			// the retry-after hint instead of treating it as a read failure.
-			var oe *tenancy.OverloadError
-			if errors.As(err, &oe) {
-				return response{head: overloadResponse(oe)}
-			}
 			return response{head: errResponse(err)}
 		}
-		// Head: status + size + payload length; the payload itself is
-		// written vectored, straight from the (pooled) read buffer.
-		head := append(cs.head[:0], statusOK)
-		head = binary.AppendUvarint(head, uint64(data.Size))
-		head = binary.AppendUvarint(head, uint64(len(data.Bytes)))
-		return response{head: head, body: data.Bytes, ref: data.Ref}
+		if flags&trailerOffer != 0 && cs.arena == nil {
+			// Whatever the answer, the descriptor rides it: the client
+			// asks once per connection. Exporting first lets this very
+			// read be leased.
+			s.exportArena(cs)
+		}
+		return s.serveRead(cs, cs.internName(nameBytes), trace, flags&trailerAccept != 0)
 
 	case OpPeerRead:
 		nameBytes, _, err := readStringBytes(payload)
@@ -366,10 +441,13 @@ func (s *Server) handle(cs *connState, opcode byte, trace uint64, payload []byte
 			}
 			return response{head: errResponse(err)}
 		}
-		head := append(cs.head[:0], statusOK)
-		head = binary.AppendUvarint(head, uint64(data.Size))
-		head = binary.AppendUvarint(head, uint64(len(data.Bytes)))
-		return response{head: head, body: data.Bytes, ref: data.Ref}
+		return s.inlineResponse(cs, data)
+
+	case OpRelease:
+		if _, err := s.applyTrailer(cs, payload); err != nil {
+			return response{head: errResponse(err)}
+		}
+		return response{head: okResponse(nil)}
 
 	case OpHello:
 		name, rest, err := readString(payload)
@@ -407,6 +485,119 @@ func (s *Server) handle(cs *connState, opcode byte, trace uint64, payload []byte
 	default:
 		return response{head: s.handleControl(opcode, payload)}
 	}
+}
+
+// serveRead executes one client read through the read router or the stage
+// and answers it, by lease when the request accepts one.
+func (s *Server) serveRead(cs *connState, name string, trace uint64, accept bool) response {
+	// A non-zero trace continues the client's sampled span; the
+	// server-side handling span shares its id so client and server
+	// views of one read join into a single trace.
+	ctx := obs.Ctx{Trace: trace, Sampled: trace != 0}
+	tracer := s.stage.Tracer()
+	start := tracer.Now()
+	var (
+		data storage.Data
+		err  error
+	)
+	if rr := s.readRouterFn(); rr != nil {
+		data, err = rr(cs.tenant, name, ctx)
+	} else {
+		data, err = s.stage.ReadTenantCtx(cs.tenant, name, ctx)
+	}
+	if ctx.Sampled {
+		sp := obs.Span{
+			Trace:   ctx.Trace,
+			Stage:   obs.StageIPCServe,
+			Name:    name,
+			At:      start,
+			Latency: tracer.Now() - start,
+			Size:    data.Size,
+		}
+		if err != nil {
+			sp.Error = err.Error()
+		}
+		tracer.Record(sp)
+	}
+	if err != nil {
+		// A load shed is typed end to end: the client's backoff reads
+		// the retry-after hint instead of treating it as a read failure.
+		var oe *tenancy.OverloadError
+		if errors.As(err, &oe) {
+			return response{head: overloadResponse(oe)}
+		}
+		return response{head: errResponse(err)}
+	}
+	if !accept {
+		return s.inlineResponse(cs, data)
+	}
+	return s.readResponse(cs, data)
+}
+
+// applyTrailer ends the leases a read or release request returns and
+// reports the trailer's flags. Ids naming no live lease of this connection
+// are counted and ignored.
+func (s *Server) applyTrailer(cs *connState, trailer []byte) (uint64, error) {
+	return parseTrailer(trailer, func(id uint64) {
+		if ref := cs.leases.take(id); ref != nil {
+			s.leasesOut.Add(-1)
+			ref.Release()
+		} else {
+			s.rejectedReleases.Add(1)
+		}
+	})
+}
+
+// exportArena exports the stage's pool for this connection; the next
+// response carries the read-only arena descriptor. Without a pool or an
+// arena (pool off, non-Linux) the connection stays inline.
+func (s *Server) exportArena(cs *connState) {
+	pool := s.stage.BufferPool()
+	if pool == nil {
+		return
+	}
+	f, err := pool.Export()
+	if err != nil {
+		return
+	}
+	cs.arena, cs.arenaFile = pool, f
+}
+
+// readResponse answers a read by lease when the payload is a slot of the
+// arena this connection maps and the connection is within its lease bound,
+// and inline otherwise. A lease keeps the server's reference until the
+// client returns the id or the connection closes.
+func (s *Server) readResponse(cs *connState, data storage.Data) response {
+	if cs.arena == nil {
+		return s.inlineResponse(cs, data)
+	}
+	off, ok := cs.arena.ArenaOffset(data.Ref, data.Bytes)
+	if !ok {
+		return s.inlineResponse(cs, data)
+	}
+	if cs.leases.bytes+int64(data.Ref.Cap()) > maxLeasedBytes {
+		s.boundFallbacks.Add(1)
+		return s.inlineResponse(cs, data)
+	}
+	id := cs.leases.add(data.Ref)
+	s.leased.Add(1)
+	s.leasesOut.Add(1)
+	return response{head: appendLease(cs.head[:0], lease{
+		size: uint64(data.Size), off: uint64(off), n: uint64(len(data.Bytes)), id: id,
+	})}
+}
+
+// inlineResponse carries the payload itself. Head: status + size + payload
+// length; the payload is written vectored, straight from the (pooled) read
+// buffer.
+func (s *Server) inlineResponse(cs *connState, data storage.Data) response {
+	if len(data.Bytes) > 0 {
+		s.inline.Add(1)
+	}
+	head := append(cs.head[:0], statusOK)
+	head = binary.AppendUvarint(head, uint64(data.Size))
+	head = binary.AppendUvarint(head, uint64(len(data.Bytes)))
+	return response{head: head, body: data.Bytes, ref: data.Ref}
 }
 
 // handleControl dispatches the non-read opcodes, whose responses are small
@@ -464,6 +655,7 @@ func (s *Server) handleControl(opcode byte, payload []byte) []byte {
 
 	case OpStats:
 		stats := s.stage.Stats()
+		stats.Leases = s.LeaseStats()
 		blob, err := json.Marshal(stats)
 		if err != nil {
 			return errResponse(err)

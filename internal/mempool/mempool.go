@@ -17,16 +17,30 @@
 // simulator only one process runs at a time, so uncontended mutexes and
 // atomics introduce no scheduling nondeterminism, and the same pool code
 // serves both real and simulated runs.
+//
+// A pool a server exports (Export) is backed by a shared-memory arena: its
+// buffers become slots of one memfd that client processes map read-only,
+// so a sample crosses the process boundary as an arena offset instead of
+// its bytes (DESIGN.md §11, "IPC by descriptor"). Clients wrap the slots
+// they are lent in Borrow refs, so the same ownership discipline covers
+// them.
 package mempool
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
+	"os"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
+
+// errNoArena reports a pool that cannot be backed by a shared-memory arena
+// on this platform.
+var errNoArena = errors.New("mempool: shared-memory arenas are not supported on this platform")
 
 // poisonByte overwrites released buffers in debug mode so use-after-release
 // reads surface as corrupted data instead of silent aliasing.
@@ -101,6 +115,22 @@ type Pool struct {
 	// Debug-mode leak ledger: Get call-site → refs not yet fully released.
 	siteMu sync.Mutex
 	sites  map[string]int
+
+	// arena backs new buffers once the pool is exported (nil before, and
+	// again after Close).
+	arena   atomic.Pointer[arena]
+	arenaMu sync.Mutex // serialises Export and Close
+	closed  bool       // guarded by arenaMu
+
+	// Recycled Ref structs for Borrow.
+	borrowMu   sync.Mutex
+	borrowFree []*Ref
+}
+
+// Lender owns memory lent to a pool through Borrow. It learns, by the tag
+// given to Borrow, when the last reference to the loan is released.
+type Lender interface {
+	Return(tag uint64)
 }
 
 // New constructs a pool from cfg (zero Config means defaults).
@@ -157,18 +187,152 @@ func (p *Pool) Get(n int) *Ref {
 		} else {
 			cls.mu.Unlock()
 			p.misses.Add(1)
-			r = &Ref{pool: p, cls: cls, buf: make([]byte, cls.size)}
+			r = p.newRef(cls)
 		}
 	}
 	r.n = n
 	r.refs.Store(1)
 	if p.cfg.Debug {
-		r.site = callSite(2)
-		p.siteMu.Lock()
-		p.sites[r.site]++
-		p.siteMu.Unlock()
+		p.trackSite(r)
 	}
 	return r
+}
+
+// trackSite enters r in the Debug leak ledger under the call site of the
+// pool method that made it (Get, External or Borrow).
+func (p *Pool) trackSite(r *Ref) {
+	r.site = callSite(3)
+	p.siteMu.Lock()
+	p.sites[r.site]++
+	p.siteMu.Unlock()
+}
+
+// newRef makes a buffer for cls: an arena slot once the pool is exported
+// (while the arena has room), a heap array otherwise.
+func (p *Pool) newRef(cls *class) *Ref {
+	if a := p.arena.Load(); a != nil {
+		if buf, off, ok := a.alloc(cls.size); ok {
+			return &Ref{pool: p, cls: cls, buf: buf, arena: a, off: off}
+		}
+	}
+	return &Ref{pool: p, cls: cls, buf: make([]byte, cls.size)}
+}
+
+// Borrow wraps memory the pool does not own — a slot of another process's
+// arena — in a Ref with one reference held by the caller. The final
+// Release hands tag back to l instead of recycling the bytes, which are
+// never written (they may be mapped read-only). The Ref struct itself is
+// recycled, so a steady stream of loans allocates nothing.
+func (p *Pool) Borrow(b []byte, l Lender, tag uint64) *Ref {
+	p.gets.Add(1)
+	p.outstanding.Add(1)
+	var r *Ref
+	p.borrowMu.Lock()
+	if n := len(p.borrowFree); n > 0 {
+		r = p.borrowFree[n-1]
+		p.borrowFree[n-1] = nil
+		p.borrowFree = p.borrowFree[:n-1]
+		p.borrowMu.Unlock()
+		p.hits.Add(1)
+	} else {
+		p.borrowMu.Unlock()
+		p.misses.Add(1)
+		r = &Ref{pool: p}
+	}
+	r.buf, r.n, r.lender, r.tag = b, len(b), l, tag
+	r.refs.Store(1)
+	if p.cfg.Debug {
+		p.trackSite(r)
+	}
+	return r
+}
+
+// returnBorrowed recycles a Borrow ref and hands its tag back.
+func (p *Pool) returnBorrowed(r *Ref) {
+	l, tag := r.lender, r.tag
+	r.buf, r.lender = nil, nil
+	p.borrowMu.Lock()
+	if len(p.borrowFree) < p.cfg.PerClassCap {
+		p.borrowFree = append(p.borrowFree, r)
+		p.borrowMu.Unlock()
+		p.recycled.Add(1)
+	} else {
+		p.borrowMu.Unlock()
+		p.discarded.Add(1)
+	}
+	l.Return(tag)
+}
+
+// Export backs the pool with a shared-memory arena, created on the first
+// call, and returns a read-only descriptor of the arena file for another
+// process to map (MapArena); the caller closes it. Buffers the pool made
+// before the first Export stay on the heap and leave the pool when
+// released, so from then on it recycles only arena slots. Export fails
+// outside Linux and after Close.
+func (p *Pool) Export() (*os.File, error) {
+	p.arenaMu.Lock()
+	defer p.arenaMu.Unlock()
+	if p.closed {
+		return nil, errors.New("mempool: Export after Close")
+	}
+	a := p.arena.Load()
+	if a == nil {
+		var err error
+		if a, err = newArena(); err != nil {
+			return nil, err
+		}
+		p.arena.Store(a)
+		for _, cls := range p.classes {
+			cls.mu.Lock()
+			n := len(cls.free)
+			clear(cls.free)
+			cls.free = cls.free[:0]
+			cls.mu.Unlock()
+			p.discarded.Add(int64(n))
+		}
+	}
+	return a.readOnly()
+}
+
+// ArenaOffset reports where b lies in the pool's arena file, when r is one
+// of the pool's arena slots and b lies within it — a view of the buffer
+// (a batch region's sample, a cached range) reports its own offset.
+func (p *Pool) ArenaOffset(r *Ref, b []byte) (int64, bool) {
+	if r == nil || r.pool != p || r.arena == nil || len(b) == 0 || len(b) > len(r.buf) || r.arena != p.arena.Load() {
+		return 0, false
+	}
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(r.buf)))
+	at := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	if at < base || at-base > uintptr(len(r.buf)-len(b)) {
+		return 0, false
+	}
+	return r.off + int64(at-base), true
+}
+
+// Close ends the pool's use of its arena, if it has one: recycled slots
+// are dropped and later Gets are served from the heap. The arena is
+// unmapped once every slot handed out has been released and nothing else
+// in the process maps it. A pool that was never exported needs no Close.
+func (p *Pool) Close() {
+	p.arenaMu.Lock()
+	p.closed = true
+	a := p.arena.Swap(nil)
+	p.arenaMu.Unlock()
+	if a == nil {
+		return
+	}
+	for _, cls := range p.classes {
+		cls.mu.Lock()
+		free := cls.free
+		cls.free = nil
+		cls.mu.Unlock()
+		for _, r := range free {
+			if r.arena != nil {
+				r.arena.drop()
+			}
+		}
+	}
+	a.close()
 }
 
 // External wraps an existing byte slice in a Ref without pooling it. The
@@ -180,10 +344,7 @@ func (p *Pool) External(b []byte) *Ref {
 	r := &Ref{pool: p, buf: b, n: len(b), external: true}
 	r.refs.Store(1)
 	if p.cfg.Debug {
-		r.site = callSite(2)
-		p.siteMu.Lock()
-		p.sites[r.site]++
-		p.siteMu.Unlock()
+		p.trackSite(r)
 	}
 	return r
 }
@@ -199,13 +360,29 @@ func (p *Pool) release(r *Ref) {
 		}
 		p.siteMu.Unlock()
 		// Poison the full backing array, not just [:n], so stale aliases
-		// into recycled capacity are caught too.
-		for i := range r.buf {
-			r.buf[i] = poisonByte
+		// into recycled capacity are caught too. Borrowed bytes belong to
+		// the lender and may be mapped read-only.
+		if r.lender == nil {
+			for i := range r.buf {
+				r.buf[i] = poisonByte
+			}
 		}
+	}
+	if r.lender != nil {
+		p.returnBorrowed(r)
+		return
 	}
 	cls := r.cls
 	if cls == nil || r.external {
+		p.discarded.Add(1)
+		return
+	}
+	if r.arena != p.arena.Load() {
+		// An exported pool recycles only its arena slots: a heap buffer
+		// from before Export, or a slot of the arena Close let go, leaves.
+		if r.arena != nil {
+			r.arena.drop()
+		}
 		p.discarded.Add(1)
 		return
 	}
@@ -217,6 +394,9 @@ func (p *Pool) release(r *Ref) {
 		return
 	}
 	cls.mu.Unlock()
+	if r.arena != nil {
+		r.arena.free(r.off, len(r.buf))
+	}
 	p.discarded.Add(1)
 }
 
@@ -296,12 +476,19 @@ type Ref struct {
 	buf      []byte
 	n        int
 	external bool
+	arena    *arena // non-nil: buf is the arena slot at offset off
+	off      int64
+	lender   Lender // non-nil: a Borrow ref, returned to lender with tag
+	tag      uint64
 	refs     atomic.Int32
 	site     string
 }
 
 // Bytes returns the leased payload slice (length = the Get request).
 func (r *Ref) Bytes() []byte { return r.buf[:r.n] }
+
+// Cap reports the size of the backing buffer: the memory the ref pins.
+func (r *Ref) Cap() int { return len(r.buf) }
 
 // Len reports the payload length without materialising the slice header.
 func (r *Ref) Len() int { return r.n }

@@ -136,6 +136,15 @@ type Stats struct {
 	PlanClaims      int   // consumer claims awaiting a buffered sample
 	PlanDelivered   int64 // plan entries delivered to consumers
 	PlanDropped     int64 // plan entries dropped by cancellation or abort
+
+	// Socket payload delivery (zero until ServeUnix). Pooled clients on
+	// Linux take samples by shared-memory lease; the rest cross the socket
+	// inline.
+	LeasedReads           int64 // reads answered with a lease on the server pool's arena
+	InlineReads           int64 // reads whose payload crossed the socket
+	LeaseBoundFallbacks   int64 // leasable reads served inline: the connection held its lease bound
+	LeaseRejectedReleases int64 // returned lease ids that were unknown, stale or duplicate
+	LeasesOutstanding     int64 // leases clients hold now
 }
 
 // Attribution is the critical-path latency breakdown: how consumer time
@@ -256,6 +265,12 @@ func statsFrom(s core.StageStats) Stats {
 		PlanClaims:      s.Plan.ClaimsInFlight,
 		PlanDelivered:   s.Plan.Delivered,
 		PlanDropped:     s.Plan.Dropped,
+
+		LeasedReads:           s.Leases.Leased,
+		InlineReads:           s.Leases.Inline,
+		LeaseBoundFallbacks:   s.Leases.BoundFallbacks,
+		LeaseRejectedReleases: s.Leases.RejectedReleases,
+		LeasesOutstanding:     s.Leases.Outstanding,
 	}
 }
 
@@ -720,7 +735,11 @@ func (p *Prisma) TotalBytes() int64 { return p.manifest.TotalBytes() }
 // Stats snapshots the data plane. Shared-cache counters ride the stage
 // snapshot (SetCacheSource), so local and remote views agree.
 func (p *Prisma) Stats() Stats {
-	return statsFrom(p.stage.Stats())
+	s := p.stage.Stats()
+	if p.server != nil {
+		s.Leases = p.server.LeaseStats()
+	}
+	return statsFrom(s)
 }
 
 // SetProducers pins the producer count t (disable AutoTune to keep it).
@@ -1036,6 +1055,10 @@ func (p *Prisma) Close() error {
 	if p.cache != nil {
 		p.cache.Close()
 	}
+	if pool := p.stage.BufferPool(); pool != nil {
+		// Unmaps the arena once the last leased or held buffer is back.
+		pool.Close()
+	}
 	if p.recorder != nil {
 		if werr := p.dumpTrace(); err == nil {
 			err = werr
@@ -1117,8 +1140,9 @@ func DialWithOptions(socketPath string, opts DialOptions) (*Client, error) {
 }
 
 // EnablePooledReads gives the client its own buffer pool: ReadSample then
-// receives payloads straight off the socket into recycled buffers, and
-// Read copies out of them. opts zero value selects the pool defaults.
+// takes samples by shared-memory lease (on Linux, against a pooled server)
+// or receives them straight off the socket into recycled buffers, and Read
+// copies out of them. opts zero value selects the pool defaults.
 func (c *Client) EnablePooledReads(opts BufferPoolOptions) {
 	if opts.Disable {
 		c.c.SetBufferPool(nil)
@@ -1149,9 +1173,37 @@ func (c *Client) Read(name string) ([]byte, error) {
 	return out, nil
 }
 
+// PoolStats is a client's receive-pool snapshot. Leased samples count as
+// gets of the pool too: each is handed out as one of its references.
+type PoolStats struct {
+	Gets        int64   // buffers and leases handed out
+	HitRate     float64 // fraction served by recycling
+	Outstanding int64   // handed out and not yet released (leak indicator)
+	FreeBuffers int     // recycled buffers parked in the pool
+	FreeBytes   int64   // bytes parked in the pool
+}
+
+// PoolStats snapshots the receive pool (zero before EnablePooledReads).
+func (c *Client) PoolStats() PoolStats {
+	if c.pool == nil {
+		return PoolStats{}
+	}
+	s := c.pool.Stats()
+	return PoolStats{
+		Gets:        s.Gets,
+		HitRate:     s.HitRate,
+		Outstanding: s.Outstanding,
+		FreeBuffers: s.FreeBuffers,
+		FreeBytes:   s.FreeBytes,
+	}
+}
+
 // ReadSample requests one file and hands the pooled receive buffer to the
 // caller, who must Release it — the zero-allocation read path for worker
-// processes that enabled pooled reads.
+// processes that enabled pooled reads. On Linux the sample is usually
+// leased: its bytes are the server's own buffer, mapped read-only, held
+// for this client until Release. Release samples before closing the
+// client; closing lets the server reuse their buffers.
 func (c *Client) ReadSample(name string) (*Sample, error) {
 	data, err := c.c.Read(name)
 	if err != nil {

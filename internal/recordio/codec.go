@@ -1,8 +1,10 @@
-// Transparent per-sample compression for packed shards. The codec is a
-// small byte-oriented LZ77 in the snappy family: greedy hash-table
-// matching on the encode side, and a decode loop that writes straight
-// into a caller-provided buffer of the known uncompressed size. The
-// decoder allocates nothing — unlike stdlib flate, whose dynamic-Huffman
+// Transparent per-sample compression for packed shards and the fast tier.
+// The codec is a small byte-oriented LZ77 in the snappy family. The
+// encoder probes a hash table of 4-byte windows, skipping ahead faster
+// the longer it goes without a match (so incompressible stretches cost
+// little), and extends matches a word at a time. The decoder writes
+// straight into a caller-provided buffer of the known uncompressed size
+// and allocates nothing — unlike stdlib flate, whose dynamic-Huffman
 // table construction allocates per block and would break the hot path's
 // 0 allocs/op gate — which is what lets compressed records decode in
 // place into pooled buffers.
@@ -15,12 +17,16 @@
 //
 // A copy references the last `offset` bytes of the output produced so
 // far; overlapping copies (offset < length) replicate runs, RLE-style.
+// The format has not changed since the first, greedy encoder: streams
+// from either encoder decode with the same decoder.
 package recordio
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"sync"
 )
 
 // Codec identifies a record payload's encoding in the index.
@@ -53,8 +59,7 @@ const (
 )
 
 // lzHash maps a 4-byte window to a table slot (Knuth multiplicative).
-func lzHash(b []byte) uint32 {
-	v := binary.LittleEndian.Uint32(b)
+func lzHash(v uint32) uint32 {
 	return (v * 2654435761) >> (32 - lzTableBits)
 }
 
@@ -68,45 +73,84 @@ func appendLiterals(dst, src []byte) []byte {
 	return append(dst, src...)
 }
 
+// matchLen reports how many leading bytes a and b share; a must be at
+// least as long as b. It compares a word at a time.
+func matchLen(a, b []byte) int {
+	a = a[:len(b)]
+	n := 0
+	for len(b)-n >= 8 {
+		if x := binary.LittleEndian.Uint64(b[n:]) ^ binary.LittleEndian.Uint64(a[n:]); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+		n += 8
+	}
+	for n < len(b) && a[n] == b[n] {
+		n++
+	}
+	return n
+}
+
+// encodeScratch holds reusable encode buffers, so Compress's only
+// allocation is its exact-size result.
+var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
+
 // Compress encodes src with the LZ codec. It returns (compressed, true)
 // only when the encoding is strictly smaller than src; incompressible
 // payloads return (nil, false) and should be stored as CodecNone —
-// transparent compression must never inflate a shard.
+// transparent compression must never inflate a shard. The result is an
+// exact-size slice the caller owns (cap == len), so a held encoding
+// occupies only its own length.
 func Compress(src []byte) ([]byte, bool) {
 	if len(src) < lzMinMatch+2 {
 		return nil, false
 	}
-	var table [1 << lzTableBits]int32
-	for i := range table {
-		table[i] = -1
+	scratch := encodeScratch.Get().(*[]byte)
+	defer encodeScratch.Put(scratch)
+	enc := encode((*scratch)[:0], src)
+	*scratch = enc
+	if len(enc) >= len(src) {
+		return nil, false
 	}
-	dst := make([]byte, 0, len(src))
-	litStart := 0
-	i := 0
+	return append([]byte(nil), enc...)[:len(enc):len(enc)], true
+}
+
+// encode appends src's LZ encoding to dst. The table holds the position
+// of the latest window with each hash; a zeroed table therefore points
+// every hash at position 0, which is a real candidate like any other, so
+// the probe needs no empty-slot check and the table no fill. Probing
+// starts at 1 (position 0 cannot match). After every miss the probe
+// advances skip>>5 bytes and skip grows by that step, so a stretch with
+// no matches is crossed in O(sqrt) probes; a match resets the pace.
+func encode(dst, src []byte) []byte {
+	var table [1 << lzTableBits]uint32
+	litStart, i, skip := 0, 1, 32
 	for i+lzMinMatch <= len(src) {
-		h := lzHash(src[i:])
+		cur := binary.LittleEndian.Uint32(src[i:])
+		h := lzHash(cur)
 		cand := int(table[h])
-		table[h] = int32(i)
-		if cand < 0 || binary.LittleEndian.Uint32(src[cand:]) != binary.LittleEndian.Uint32(src[i:]) {
-			i++
+		table[h] = uint32(i)
+		if binary.LittleEndian.Uint32(src[cand:]) != cur {
+			step := skip >> 5
+			skip += step
+			i += step
 			continue
 		}
-		n := lzMinMatch
-		for i+n < len(src) && src[cand+n] == src[i+n] {
-			n++
+		// A skipping probe may land past a match's true start: extend it
+		// back over bytes still pending as literals.
+		for cand > 0 && i > litStart && src[cand-1] == src[i-1] {
+			cand--
+			i--
 		}
+		n := matchLen(src[cand:], src[i:])
 		dst = appendLiterals(dst, src[litStart:i])
 		dst = append(dst, lzTagCopy)
 		dst = binary.AppendUvarint(dst, uint64(i-cand))
 		dst = binary.AppendUvarint(dst, uint64(n))
 		i += n
 		litStart = i
+		skip = 32
 	}
-	dst = appendLiterals(dst, src[litStart:])
-	if len(dst) >= len(src) {
-		return nil, false
-	}
-	return dst, true
+	return appendLiterals(dst, src[litStart:])
 }
 
 // DecompressInto decodes src into dst, which must be exactly the
@@ -146,13 +190,13 @@ func DecompressInto(dst, src []byte) error {
 			if off == 0 || off > uint64(di) || n == 0 || n > uint64(len(dst)-di) {
 				return fmt.Errorf("%w: copy out of range", ErrCorrupt)
 			}
-			// Byte-at-a-time on purpose: overlapping copies (offset <
-			// length) must observe bytes written earlier in this same copy.
-			from := di - int(off)
-			for j := 0; j < int(n); j++ {
-				dst[di+j] = dst[from+j]
+			// An overlapping copy (offset < length) repeats its last
+			// `offset` bytes; each pass copies everything written since
+			// from, doubling the span until the run is filled.
+			from, end := di-int(off), di+int(n)
+			for di < end {
+				di += copy(dst[di:end], dst[from:di])
 			}
-			di += int(n)
 		default:
 			return fmt.Errorf("%w: unknown tag %#02x", ErrCorrupt, tag)
 		}

@@ -2,8 +2,10 @@ package recordio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"os"
 	"path/filepath"
 	"testing"
@@ -337,25 +339,169 @@ func TestMemBackendReadRangePooled(t *testing.T) {
 	}
 }
 
-// BenchmarkDecompressInto pins the decoder's zero-allocation property —
-// the load-bearing fact behind serving compressed shards through pooled
-// buffers. CI runs this at -benchtime 1x; it must stay cheap.
-func BenchmarkDecompressInto(b *testing.B) {
-	src := bytes.Repeat([]byte("prisma-sample-abcdefghijklmnop"), 2184) // ~64 KiB
-	comp, ok := Compress(src)
-	if !ok {
-		b.Fatal("fixture should compress")
-	}
-	dst := make([]byte, len(src))
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := DecompressInto(dst, comp); err != nil {
-			b.Fatal(err)
+// mixedSample fills n bytes in the wall-clock benchmark's compressible
+// shape: in every KiB the first half is pseudo-random and the second half
+// zero, which the codec stores at about 2:1.
+func mixedSample(n int, seed uint64) []byte {
+	rng := randv2.New(randv2.NewPCG(seed, 0))
+	b := make([]byte, n)
+	for off := 0; off < n; off += 8 {
+		if off%1024 < 512 {
+			var w [8]byte
+			binary.LittleEndian.PutUint64(w[:], rng.Uint64())
+			copy(b[off:], w[:])
 		}
 	}
-	if !bytes.Equal(dst, src) {
-		b.Fatal("mismatch")
+	return b
+}
+
+// codecShape is one codec benchmark input.
+type codecShape struct {
+	name string
+	raw  []byte
+}
+
+// codecShapes are the codec benchmarks' inputs, each 110 KiB (the
+// benchmark's mean sample size): the mixed shape, pure noise and one run.
+func codecShapes() []codecShape {
+	const size = 110 << 10
+	random := make([]byte, size)
+	rand.New(rand.NewSource(5)).Read(random)
+	return []codecShape{
+		{"mixed", mixedSample(size, 1)},
+		{"random", random},
+		{"constant", bytes.Repeat([]byte{0x42}, size)},
+	}
+}
+
+// compressSink keeps benchmarked Compress calls from being optimized away.
+var compressSink []byte
+
+func BenchmarkCompress(b *testing.B) {
+	for _, sh := range codecShapes() {
+		b.Run(sh.name, func(b *testing.B) {
+			b.SetBytes(int64(len(sh.raw)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				compressSink, _ = Compress(sh.raw)
+			}
+		})
+	}
+}
+
+// BenchmarkDecompressInto pins the decoder's zero-allocation property —
+// the load-bearing fact behind serving compressed shards through pooled
+// buffers — and its speed per shape. Random input never compresses, so
+// its stream is the single literal run an encoder would have to emit.
+// CI runs this at -benchtime 1x; it must stay cheap.
+func BenchmarkDecompressInto(b *testing.B) {
+	for _, sh := range codecShapes() {
+		comp, ok := Compress(sh.raw)
+		if !ok {
+			comp = appendLiterals(nil, sh.raw)
+		}
+		b.Run(sh.name, func(b *testing.B) {
+			dst := make([]byte, len(sh.raw))
+			b.SetBytes(int64(len(sh.raw)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := DecompressInto(dst, comp); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if !bytes.Equal(dst, sh.raw) {
+				b.Fatal("mismatch")
+			}
+		})
+	}
+}
+
+// TestCodecAllocs pins Compress at one allocation (its exact-size
+// result) and DecompressInto at none.
+func TestCodecAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector randomly drops sync.Pool items")
+	}
+	src := mixedSample(110<<10, 2)
+	comp, ok := Compress(src)
+	if !ok {
+		t.Fatal("mixed sample should compress")
+	}
+	if n := testing.AllocsPerRun(50, func() { Compress(src) }); n != 1 {
+		t.Errorf("Compress: %v allocs/op, want 1", n)
+	}
+	dst := make([]byte, len(src))
+	if n := testing.AllocsPerRun(50, func() { _ = DecompressInto(dst, comp) }); n != 0 {
+		t.Errorf("DecompressInto: %v allocs/op, want 0", n)
+	}
+}
+
+// TestCompressResultExactSize pins cap == len: a held encoding (a fast-tier
+// resident) must not pin a backing array sized for the raw input.
+func TestCompressResultExactSize(t *testing.T) {
+	for _, sh := range codecShapes() {
+		comp, ok := Compress(sh.raw)
+		if ok && cap(comp) != len(comp) {
+			t.Errorf("%s: cap %d != len %d", sh.name, cap(comp), len(comp))
+		}
+	}
+}
+
+// TestCompressRatioMixed keeps the skip-ahead encoder's ratio on the
+// benchmark's data shape close to the greedy encoder's 1.969.
+func TestCompressRatioMixed(t *testing.T) {
+	src := mixedSample(110<<10, 1)
+	comp, ok := Compress(src)
+	if !ok {
+		t.Fatal("mixed sample should compress")
+	}
+	if r := float64(len(src)) / float64(len(comp)); r < 1.91 {
+		t.Fatalf("ratio %.3f < 1.91", r)
+	}
+}
+
+// legacyInput is the deterministic input behind testdata/lz_greedy.lz:
+// pseudo-random stretches, byte runs, a repeating block and one
+// long-distance repeat, so the stream exercises literals, overlapping
+// copies and far copies.
+func legacyInput() []byte {
+	x := uint64(0x9E3779B97F4A7C15)
+	random := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			b[i] = byte(x)
+		}
+		return b
+	}
+	head := random(3 << 10)
+	in := append([]byte(nil), head...)
+	in = append(in, bytes.Repeat([]byte{0xAB}, 1<<10)...)
+	in = append(in, bytes.Repeat([]byte("repeating-block-of-37-bytes-0123456/"), 80)...)
+	in = append(in, random(2<<10)...)
+	for k := 1; k <= 40; k++ {
+		in = append(in, bytes.Repeat([]byte{byte(k)}, k)...)
+	}
+	in = append(in, head[:1<<10]...)
+	return append(in, random(3)...)
+}
+
+// TestDecodesGreedyEncoderStream keeps shards packed by the first, greedy
+// encoder readable: testdata/lz_greedy.lz is that encoder's output for
+// legacyInput.
+func TestDecodesGreedyEncoderStream(t *testing.T) {
+	comp, err := os.ReadFile(filepath.Join("testdata", "lz_greedy.lz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := legacyInput()
+	got := make([]byte, len(want))
+	if err := DecompressInto(got, comp); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("greedy-encoder stream decoded to different bytes")
 	}
 }

@@ -3,6 +3,7 @@ package tiering
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -512,6 +513,59 @@ func memFixture(t *testing.T, env conc.Env, cfg Config, n, size int) (*Backend, 
 		t.Fatal(err)
 	}
 	return b, names, contents
+}
+
+// TestCompressedResidentsWithinBudget is the regression test for
+// compressed residents that pinned a raw-size backing array while charging
+// only their compressed length, so the tier held about twice its budget:
+// the capacity residents actually hold must equal FastUsed and stay within
+// FastCapacity.
+func TestCompressedResidentsWithinBudget(t *testing.T) {
+	runSim(t, func(env conc.Env) {
+		const n, size = 16, 8 << 10
+		mem := storage.NewMemBackend()
+		rng := rand.New(rand.NewSource(7))
+		names := make([]string, n)
+		for i := range names {
+			// Half of every KiB random, half zero: compresses about 2:1.
+			content := make([]byte, size)
+			for off := 0; off < size; off += 1024 {
+				rng.Read(content[off : off+512])
+			}
+			names[i] = fmt.Sprintf("c%02d", i)
+			mem.Add(names[i], content)
+		}
+		capacity := int64(n * size / 3) // room for about 10 compressed residents
+		b, err := NewBackend(env, Config{FastCapacity: capacity, PromoteAfter: 1, Compress: true}, mem, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			d, err := b.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Release()
+		}
+		b.mu.Lock()
+		held, residents := int64(0), 0
+		for el := b.order.Front(); el != nil; el = el.Next() {
+			e := el.Value.(*entry)
+			if !e.compressed {
+				t.Errorf("%s resident uncompressed", e.name)
+			}
+			held += int64(cap(e.bytes))
+			residents++
+		}
+		b.mu.Unlock()
+		st := b.Stats()
+		if residents < 2 || st.Evictions == 0 {
+			t.Fatalf("%d residents, %d evictions: fixture does not fill the tier", residents, st.Evictions)
+		}
+		if held != st.FastUsed || held > capacity {
+			t.Fatalf("residents hold %d bytes of capacity, FastUsed %d, FastCapacity %d", held, st.FastUsed, capacity)
+		}
+	})
 }
 
 // TestReadRangeServedFromResident is the regression test for the range-read

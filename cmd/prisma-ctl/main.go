@@ -250,6 +250,7 @@ func main() {
 		fmt.Printf("evictions:           %d\n", s.TierEvictions)
 		fmt.Printf("prefetch promotions: %d\n", s.TierPrefetchPromotions)
 		fmt.Printf("prefetch skips:      %d\n", s.TierPrefetchSkips)
+		fmt.Printf("admission rejects:   %d\n", s.TierAdmissionRejects)
 		fmt.Printf("tracked names:       %d (%d decay sweeps)\n", s.TierTrackedNames, s.TierAccessDecays)
 
 	case "set-tenant":

@@ -213,6 +213,7 @@ type TieringStats struct {
 	Evictions          int64
 	PrefetchPromotions int64
 	PrefetchSkips      int64
+	AdmissionRejects   int64 // demand candidates the admission filter declined
 	FastUsed           int64 // physical bytes resident
 	FastLogical        int64 // decoded bytes those residents represent
 	Capacity           int64

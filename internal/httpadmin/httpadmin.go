@@ -265,6 +265,7 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 		write("prisma_tiering_evictions_total", "Fast-tier residents evicted to make room.", "counter", float64(t.Evictions))
 		write("prisma_tiering_prefetch_promotions_total", "Samples warmed in by next-epoch plan prefetch.", "counter", float64(t.PrefetchPromotions))
 		write("prisma_tiering_prefetch_skips_total", "Warm-plan entries declined (resident, full tier, or error).", "counter", float64(t.PrefetchSkips))
+		write("prisma_tiering_admission_rejects_total", "Demand misses the admission filter kept out of a full tier (the LRU victim was read more often).", "counter", float64(t.AdmissionRejects))
 		write("prisma_tiering_used_bytes", "Physical fast-tier occupancy (compressed where applicable).", "gauge", float64(t.FastUsed))
 		write("prisma_tiering_logical_bytes", "Decoded sample volume the fast tier holds.", "gauge", float64(t.FastLogical))
 		write("prisma_tiering_capacity_bytes", "Fast-tier byte budget.", "gauge", float64(t.Capacity))

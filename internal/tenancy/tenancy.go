@@ -194,6 +194,10 @@ type Manager struct {
 	cfg Config
 	arb *fairness.Arbiter
 	slo *obs.SLOTracker
+	// sloMu makes each SLO state change and its boost change one step for
+	// Stats: the tick holds it from Evaluate through the boosts it applies,
+	// so a snapshot never pairs breach with no boost or ok with a boost.
+	sloMu conc.Mutex
 
 	mu         conc.Mutex
 	tenants    map[string]*state
@@ -218,6 +222,7 @@ func New(env conc.Env, cfg Config) (*Manager, error) {
 		cfg:     cfg,
 		arb:     arb,
 		slo:     obs.NewSLOTracker(env),
+		sloMu:   env.NewMutex(),
 		mu:      env.NewMutex(),
 		tenants: make(map[string]*state),
 	}
@@ -287,6 +292,8 @@ func (m *Manager) Register(spec Spec) error {
 }
 
 // SetSLO installs (or replaces) a tenant's latency objective at runtime.
+// A replaced objective restarts at ok, so any active boost is dropped with
+// it.
 func (m *Manager) SetSLO(name string, cfg obs.SLOConfig) error {
 	m.mu.Lock()
 	_, ok := m.tenants[name]
@@ -294,13 +301,23 @@ func (m *Manager) SetSLO(name string, cfg obs.SLOConfig) error {
 	if !ok {
 		return fmt.Errorf("tenancy: tenant %q not registered", name)
 	}
+	m.sloMu.Lock()
+	defer m.sloMu.Unlock()
 	m.slo.Set(name, cfg)
+	m.dropBoost(name)
 	return nil
 }
 
 // ClearSLO removes a tenant's latency objective (and any active boost).
 func (m *Manager) ClearSLO(name string) {
+	m.sloMu.Lock()
+	defer m.sloMu.Unlock()
 	m.slo.Remove(name)
+	m.dropBoost(name)
+}
+
+// dropBoost restores a boosted tenant's base weight. Caller holds sloMu.
+func (m *Manager) dropBoost(name string) {
 	m.mu.Lock()
 	var base float64
 	restore := false
@@ -518,8 +535,19 @@ func (m *Manager) tick(interval time.Duration) {
 		m.arb.SetCapacity(m.cfg.Capacity)
 	}
 	m.arb.Tick(interval)
-	for _, tr := range m.slo.Evaluate() {
-		m.applySLOTransition(tr)
+	m.sloMu.Lock()
+	transitions := m.slo.Evaluate()
+	actions := make([]SLOAction, 0, len(transitions))
+	for _, tr := range transitions {
+		if act, ok := m.applySLOTransition(tr); ok {
+			actions = append(actions, act)
+		}
+	}
+	m.sloMu.Unlock()
+	if m.cfg.OnSLOAction != nil {
+		for _, act := range actions {
+			m.cfg.OnSLOAction(act)
+		}
 	}
 }
 
@@ -527,13 +555,14 @@ func (m *Manager) tick(interval time.Duration) {
 // tenant entering BREACH gets its arbitration weight boosted by
 // SLOBoostFactor (the noisy neighbor is squeezed by max-min in its favor);
 // recovering to OK restores the base weight; WARN is observed without
-// actuation. Every transition is reported through OnSLOAction for audit.
-func (m *Manager) applySLOTransition(tr obs.SLOTransition) {
+// actuation. It returns the action for the tick to report through
+// OnSLOAction once sloMu is released. Caller holds sloMu.
+func (m *Manager) applySLOTransition(tr obs.SLOTransition) (SLOAction, bool) {
 	m.mu.Lock()
 	st, ok := m.tenants[tr.Tenant]
 	if !ok {
 		m.mu.Unlock()
-		return
+		return SLOAction{}, false
 	}
 	act := SLOAction{Tenant: tr.Tenant, From: tr.From, To: tr.To, Status: tr.Status}
 	base := st.weight
@@ -562,9 +591,7 @@ func (m *Manager) applySLOTransition(tr obs.SLOTransition) {
 	if act.WeightAfter != act.WeightBefore {
 		m.arb.SetWeight(tr.Tenant, act.WeightAfter)
 	}
-	if m.cfg.OnSLOAction != nil {
-		m.cfg.OnSLOAction(act)
-	}
+	return act, true
 }
 
 // Tick runs one arbitration/overload evaluation round (tests drive this
@@ -637,6 +664,9 @@ func (m *Manager) Stats() Snapshot {
 	for _, g := range grants {
 		byID[g.ID] = g
 	}
+	// Boosts and SLO states are read under sloMu, as the tick writes them.
+	m.sloMu.Lock()
+	defer m.sloMu.Unlock()
 	m.mu.Lock()
 	states := make([]*state, 0, len(m.tenants))
 	boosted := make(map[string]bool, len(m.tenants))

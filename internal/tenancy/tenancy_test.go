@@ -2,6 +2,8 @@ package tenancy
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -434,7 +436,8 @@ func TestSLOShedObservations(t *testing.T) {
 }
 
 // TestSetSLOClearSLO checks runtime objective management: SetSLO on a live
-// tenant starts tracking, ClearSLO stops it and drops any active boost.
+// tenant starts tracking, and replacing or clearing the objective drops
+// any active boost.
 func TestSetSLOClearSLO(t *testing.T) {
 	runSim(t, func(env conc.Env) {
 		m, err := New(env, Config{Capacity: 1000, TickInterval: 100 * time.Millisecond, SLOBoostFactor: 2})
@@ -447,22 +450,37 @@ func TestSetSLOClearSLO(t *testing.T) {
 		if err := m.SetSLO("nope", obs.SLOConfig{Threshold: time.Millisecond}); err == nil {
 			t.Fatal("SetSLO on unknown tenant accepted")
 		}
-		if err := m.SetSLO("a", obs.SLOConfig{
+		slo := obs.SLOConfig{
 			Quantile: 0.9, Threshold: time.Millisecond,
 			Window: 12 * time.Second, ShortWindow: time.Second,
-		}); err != nil {
+		}
+		if err := m.SetSLO("a", slo); err != nil {
 			t.Fatal(err)
 		}
-		// Breach it, then clear: the boost must not outlive the objective.
-		for i := 0; i < 100; i++ {
-			m.ObserveLatency("a", time.Second, false)
-		}
-		m.Tick(100 * time.Millisecond)
-		for _, ts := range m.Stats().Tenants {
-			if ts.Name == "a" && !ts.SLOBoosted {
-				t.Fatal("breach did not boost")
+		breach := func() {
+			for i := 0; i < 100; i++ {
+				m.ObserveLatency("a", time.Second, false)
+			}
+			m.Tick(100 * time.Millisecond)
+			for _, ts := range m.Stats().Tenants {
+				if ts.Name == "a" && !ts.SLOBoosted {
+					t.Fatal("breach did not boost")
+				}
 			}
 		}
+		// Breach it, then replace the objective: the new one starts at ok,
+		// so the boost must go with the old one.
+		breach()
+		if err := m.SetSLO("a", slo); err != nil {
+			t.Fatal(err)
+		}
+		for _, ts := range m.Stats().Tenants {
+			if ts.Name == "a" && (ts.SLOBoosted || ts.SLO.State != obs.SLOOK) {
+				t.Fatalf("after replacing a breached objective: boosted=%v state=%s", ts.SLOBoosted, ts.SLO.State)
+			}
+		}
+		// Breach it, then clear: the boost must not outlive the objective.
+		breach()
 		m.ClearSLO("a")
 		for _, ts := range m.Stats().Tenants {
 			if ts.Name == "a" {
@@ -475,4 +493,68 @@ func TestSetSLOClearSLO(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSLOSnapshotConsistentWithBoost runs ticks that flip tenants between
+// breach and ok while another goroutine takes snapshots. A snapshot must
+// never show a breached tenant without its boost, or a boosted tenant back
+// at ok: the state change and its boost change are one step.
+func TestSLOSnapshotConsistentWithBoost(t *testing.T) {
+	env := conc.NewReal()
+	m, err := New(env, Config{Capacity: 1000, SLOBoostFactor: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One-bucket windows: a tick after bad reads breaches, a tick after the
+	// bucket rotates out recovers. Several tenants lengthen each tick's
+	// run of transitions.
+	const tenants, cycles = 8, 100
+	slo := obs.SLOConfig{Quantile: 0.9, Threshold: time.Millisecond, Window: 2 * time.Millisecond, ShortWindow: 2 * time.Millisecond}
+	for i := 0; i < tenants; i++ {
+		if err := m.Register(Spec{Name: fmt.Sprintf("t%d", i), SLO: &slo}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var breachSeen, okSeen int
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			for _, ts := range m.Stats().Tenants {
+				if ts.SLO == nil {
+					continue
+				}
+				switch breached := ts.SLO.State == obs.SLOBreach; {
+				case (breached || ts.SLO.State == obs.SLOOK) && breached != ts.SLOBoosted:
+					t.Errorf("%s: state %s with boost %v", ts.Name, ts.SLO.State, ts.SLOBoosted)
+					return
+				case breached:
+					breachSeen++
+				case ts.SLO.State == obs.SLOOK:
+					okSeen++
+				}
+			}
+		}
+	}()
+	for c := 0; c < cycles && !t.Failed(); c++ {
+		for i := 0; i < tenants; i++ {
+			m.ObserveLatency(fmt.Sprintf("t%d", i), 10*time.Millisecond, false)
+		}
+		m.Tick(time.Millisecond)
+		time.Sleep(3 * time.Millisecond)
+		m.Tick(time.Millisecond)
+	}
+	close(done)
+	wg.Wait()
+	if breachSeen == 0 || okSeen == 0 {
+		t.Fatalf("snapshots saw %d breached and %d ok tenants, want both states", breachSeen, okSeen)
+	}
 }

@@ -5,9 +5,11 @@
 // paper's sense: a Backend that fronts a slow tier (parallel file system,
 // NFS share) with a capacity-bounded fast tier (local NVMe), promoting
 // files after a configurable number of accesses and evicting LRU files
-// when the fast tier fills. In live mode the fast tier retains real
-// payload bytes (pool-reference-retained, optionally LZ-compressed so the
-// same byte budget holds more samples); in sim mode an optional
+// when the fast tier fills. A TinyLFU admission filter keeps a full tier
+// from trading a resident for a sample read less often. In live mode the
+// fast tier retains real payload bytes (pool-reference-retained,
+// optionally LZ-compressed so the same byte budget holds more samples);
+// in sim mode an optional
 // storage.Device models the fast tier's transfer costs. An adapter
 // exposes it as a core.OptimizationObject so stages can chain it with
 // prefetching, and PrefetchPlan warms the next epoch's cold samples into
@@ -38,8 +40,9 @@ type Config struct {
 	// FastCapacity is the fast tier's byte budget (physical bytes: a
 	// compressed resident charges its compressed size).
 	FastCapacity int64
-	// PromoteAfter is the access count at which a file is copied to the
-	// fast tier (1 = promote on first access).
+	// PromoteAfter is the access count at which a file becomes a
+	// candidate for the fast tier (1 = on first access). A candidate that
+	// needs a resident evicted must also pass the admission filter.
 	PromoteAfter int
 	// MaxTracked caps the promotion-counter map. When the map would
 	// exceed it, every count is halved and zeroes dropped (cheap decay),
@@ -79,6 +82,10 @@ type Stats struct {
 	// error).
 	PrefetchPromotions int64
 	PrefetchSkips      int64
+	// AdmissionRejects counts demand candidates the admission filter
+	// declined: the tier was full and the LRU victim had been read more
+	// often, recently, than the candidate.
+	AdmissionRejects int64
 	// FastUsed is the physical byte occupancy; FastLogical the decoded
 	// sample volume those bytes represent (equal unless Compress).
 	FastUsed    int64
@@ -86,7 +93,7 @@ type Stats struct {
 	Capacity    int64
 	Residents   int
 	// TrackedNames is the promotion-counter map size; AccessDecays counts
-	// the halving sweeps that bounded it.
+	// the halving sweeps that bounded it and aged every count.
 	TrackedNames int
 	AccessDecays int64
 	// PromoteTime is cumulative read-path promotion work (compression +
@@ -115,8 +122,11 @@ type Backend struct {
 	order    *list.List               // front = most recently used
 	used     int64                    // physical bytes resident
 	logical  int64                    // decoded bytes resident
-	accesses map[string]int
+	accesses map[string]int           // reads of names not resident
 	decays   int64
+	// sinceAging counts reads since the last halving sweep: TinyLFU's
+	// sample counter.
+	sinceAging int64
 
 	// Next-epoch warming: the latest submitted plan and the lazily
 	// started worker that drains it.
@@ -131,6 +141,7 @@ type Backend struct {
 	evictions    *metrics.Counter
 	prefPromoted *metrics.Counter
 	prefSkipped  *metrics.Counter
+	rejected     *metrics.Counter
 	promoteTime  *metrics.Counter // nanoseconds of read-path promote work
 	decodeTime   *metrics.Counter // nanoseconds of hit-path decompression
 
@@ -148,6 +159,9 @@ type entry struct {
 	bytes      []byte
 	ref        *mempool.Ref
 	compressed bool
+	// freq counts the resident's reads: its promotion count at admission
+	// plus every later read, aged with the promotion counters.
+	freq int
 }
 
 // drop releases the entry's hold on its payload.
@@ -185,6 +199,7 @@ func NewBackend(env conc.Env, cfg Config, slow storage.Backend, fastDevice *stor
 		evictions:    metrics.NewCounter(env),
 		prefPromoted: metrics.NewCounter(env),
 		prefSkipped:  metrics.NewCounter(env),
+		rejected:     metrics.NewCounter(env),
 		promoteTime:  metrics.NewCounter(env),
 		decodeTime:   metrics.NewCounter(env),
 	}
@@ -210,6 +225,7 @@ func (b *Backend) ReadFileCtx(name string, ctx obs.Ctx) (storage.Data, error) {
 	b.mu.Lock()
 	if el, hit := b.resident[name]; hit {
 		b.order.MoveToFront(el)
+		b.countReadLocked(name)
 		// Snapshot the entry under the lock: a concurrent admit may evict
 		// this element the moment we release it. The retained reference
 		// keeps the payload alive past the unlock even if it does.
@@ -266,20 +282,15 @@ func (b *Backend) ReadFileCtx(name string, ctx obs.Ctx) (storage.Data, error) {
 	b.slowReads.Inc()
 
 	b.mu.Lock()
-	b.accesses[name]++
-	if len(b.accesses) > b.cfg.MaxTracked {
-		b.decayAccessesLocked()
-	}
-	promote := b.accesses[name] >= b.cfg.PromoteAfter &&
-		data.Size <= b.cfg.FastCapacity
+	promote := b.shouldPromoteLocked(name, data.Size)
 	b.mu.Unlock()
 	if !promote {
 		return data, nil
 	}
 
 	// Prepare the resident copy outside the lock (compression is CPU
-	// work), then race to admit: concurrent misses on the same name all
-	// reach here, but only the winner charges the fast device and the
+	// work), then race to admit: concurrent misses on the same name can
+	// all reach here, but only the winner charges the fast device and the
 	// promotion counter.
 	promStart := b.env.Now()
 	e := b.prepareEntry(name, data)
@@ -310,6 +321,56 @@ func (b *Backend) sampleBuf(n int) ([]byte, *mempool.Ref) {
 		return ref.Bytes(), ref
 	}
 	return make([]byte, n), nil
+}
+
+// shouldPromoteLocked counts a demand miss of name and decides whether to
+// prepare a resident copy of it. Besides the PromoteAfter threshold and
+// the tier's capacity, it applies TinyLFU's admission filter (Einziger et
+// al., "TinyLFU: A Highly Efficient Cache Admission Policy", ACM ToS
+// 2017): a candidate that fits in free space is admitted; otherwise it
+// must have been read at least as often, recently, as the LRU victim it
+// would displace. Ties admit, so uniform access keeps plain LRU. A name
+// already resident (another reader won the race) counts its read in its
+// freq and has no promotion count, so it is declined before any
+// compression. Caller holds b.mu.
+func (b *Backend) shouldPromoteLocked(name string, size int64) bool {
+	b.countReadLocked(name)
+	n := b.accesses[name]
+	if n < b.cfg.PromoteAfter || size > b.cfg.FastCapacity {
+		return false
+	}
+	if b.used+size <= b.cfg.FastCapacity || n >= b.order.Back().Value.(*entry).freq {
+		return true
+	}
+	b.rejected.Inc()
+	return false
+}
+
+// countReadLocked records one read of name: a resident's freq, or else
+// its promotion counter. Every W reads it ages all counts, W being
+// TinyLFU's sample size of ten times the tier's capacity in entries. The
+// capacity is estimated from the residents' mean stored size, so W
+// follows the sample sizes and the compression ratio instead of being
+// configured. Caller holds b.mu.
+func (b *Backend) countReadLocked(name string) {
+	b.sinceAging++
+	if len(b.resident) > 0 {
+		mean := b.used / int64(len(b.resident))
+		if mean < 1 {
+			mean = 1
+		}
+		if b.sinceAging >= 10*(b.cfg.FastCapacity/mean) {
+			b.decayAccessesLocked()
+		}
+	}
+	if el, res := b.resident[name]; res {
+		el.Value.(*entry).freq++
+		return
+	}
+	b.accesses[name]++
+	if len(b.accesses) > b.cfg.MaxTracked {
+		b.decayAccessesLocked()
+	}
 }
 
 // prepareEntry builds the fast-tier resident for a slow-tier read. Live
@@ -365,7 +426,9 @@ func (b *Backend) admitLocked(e *entry, evict bool) bool {
 	b.resident[e.name] = b.order.PushFront(e)
 	b.used += e.stored
 	b.logical += e.size
-	delete(b.accesses, e.name) // reset the promotion counter
+	// The promotion count moves with the name into the tier.
+	e.freq = b.accesses[e.name]
+	delete(b.accesses, e.name)
 	return true
 }
 
@@ -380,10 +443,12 @@ func (b *Backend) evictLocked(el *list.Element) {
 	victim.drop()
 }
 
-// decayAccessesLocked halves every promotion counter and drops zeroes —
-// a TinyLFU-style aging sweep that bounds the map while keeping relative
-// popularity. All count-1 names (the unbounded-growth population) vanish
-// in one sweep. Caller holds b.mu.
+// decayAccessesLocked halves every promotion counter and drops zeroes,
+// and halves every resident's freq — TinyLFU's aging sweep. It bounds the
+// map while keeping relative popularity: all count-1 names (the
+// unbounded-growth population) vanish in one sweep, and a resident that
+// stopped being read loses its standing against new candidates. Caller
+// holds b.mu.
 func (b *Backend) decayAccessesLocked() {
 	for name, n := range b.accesses {
 		n /= 2
@@ -393,6 +458,10 @@ func (b *Backend) decayAccessesLocked() {
 			b.accesses[name] = n
 		}
 	}
+	for el := b.order.Front(); el != nil; el = el.Next() {
+		el.Value.(*entry).freq /= 2
+	}
+	b.sinceAging = 0
 	b.decays++
 }
 
@@ -529,6 +598,7 @@ func (b *Backend) rangeFromResident(name string, off, n int64) (storage.Data, bo
 		return storage.Data{}, false
 	}
 	b.order.MoveToFront(el)
+	b.countReadLocked(name)
 	size := e.size
 	bytes, ref := e.bytes, e.ref
 	if off > size {
@@ -604,6 +674,7 @@ func (b *Backend) batchFromResident(name string, ranges []storage.Range, out []s
 		return out, false
 	}
 	b.order.MoveToFront(el)
+	b.countReadLocked(name)
 	size := e.size
 	bytes, ref := e.bytes, e.ref
 	var total int64
@@ -638,10 +709,7 @@ func (b *Backend) batchFromResident(name string, ranges []storage.Range, out []s
 // there is nothing complete to admit).
 func (b *Backend) noteAccess(name string) {
 	b.mu.Lock()
-	b.accesses[name]++
-	if len(b.accesses) > b.cfg.MaxTracked {
-		b.decayAccessesLocked()
-	}
+	b.countReadLocked(name)
 	b.mu.Unlock()
 }
 
@@ -692,6 +760,7 @@ func (b *Backend) Stats() Stats {
 		Evictions:          b.evictions.Value(),
 		PrefetchPromotions: b.prefPromoted.Value(),
 		PrefetchSkips:      b.prefSkipped.Value(),
+		AdmissionRejects:   b.rejected.Value(),
 		FastUsed:           used,
 		FastLogical:        logical,
 		Capacity:           b.cfg.FastCapacity,

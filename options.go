@@ -156,8 +156,10 @@ type TieringOptions struct {
 	// A compressed resident charges only its compressed size, so
 	// compression stretches the same budget over more samples.
 	CapacityBytes int64
-	// PromoteAfter is the access count at which a sample is copied into
-	// the fast tier (default 1 = promote on first access).
+	// PromoteAfter is the access count at which a sample becomes a
+	// candidate for the fast tier (default 1 = on first access). In a
+	// full tier the candidate must also have been read at least as often,
+	// recently, as the LRU resident it would evict.
 	PromoteAfter int
 	// MaxTrackedNames caps the promotion-counter map; past it the
 	// counters decay (halve, drop zeroes) so cold names cannot grow

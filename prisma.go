@@ -107,6 +107,7 @@ type Stats struct {
 	TierEvictions          int64
 	TierPrefetchPromotions int64
 	TierPrefetchSkips      int64
+	TierAdmissionRejects   int64 // misses declined so as not to evict a more often read resident
 	TierUsedBytes          int64 // physical (compressed) occupancy
 	TierLogicalBytes       int64 // decoded volume those bytes represent
 	TierCapacityBytes      int64
@@ -231,6 +232,7 @@ func statsFrom(s core.StageStats) Stats {
 		TierEvictions:          s.Tiering.Evictions,
 		TierPrefetchPromotions: s.Tiering.PrefetchPromotions,
 		TierPrefetchSkips:      s.Tiering.PrefetchSkips,
+		TierAdmissionRejects:   s.Tiering.AdmissionRejects,
 		TierUsedBytes:          s.Tiering.FastUsed,
 		TierLogicalBytes:       s.Tiering.FastLogical,
 		TierCapacityBytes:      s.Tiering.Capacity,
@@ -421,6 +423,7 @@ func Open(opts Options) (*Prisma, error) {
 				Evictions:          ts.Evictions,
 				PrefetchPromotions: ts.PrefetchPromotions,
 				PrefetchSkips:      ts.PrefetchSkips,
+				AdmissionRejects:   ts.AdmissionRejects,
 				FastUsed:           ts.FastUsed,
 				FastLogical:        ts.FastLogical,
 				Capacity:           ts.Capacity,
